@@ -1,14 +1,13 @@
 //! Runtime throughput benchmark: single-thread reference `EventSnn` versus
 //! the `snn-runtime` CSR engine — sample-at-a-time (`csr_single`, one
-//! lane), edge-major batched (`batched`, default lane count), behind the
-//! multi-threaded closed batch inference server, and behind the streaming
-//! deadline batcher under a closed-loop load generator — on a batched
-//! VGG-16-geometry workload (the paper's 13 conv + 3 dense stack,
-//! width-scaled to a CI-sized budget).
+//! lane), edge-major batched (`batched`, default lane count), and behind
+//! the streaming deadline batcher under a closed-loop load generator — on
+//! a batched VGG-16-geometry workload (the paper's 13 conv + 3 dense
+//! stack, width-scaled to a CI-sized budget).
 //!
-//! Emits `BENCH_runtime.json` with images/sec, per-request p50/p99 latency
-//! (closed path), streaming end-to-end latency percentiles with the
-//! queue-wait/execution split, batch-occupancy histogram and shed counts,
+//! Emits `BENCH_runtime.json` with images/sec, streaming end-to-end
+//! latency percentiles with the queue-wait/execution split,
+//! batch-occupancy histogram and shed counts,
 //! the compiled CSR memory footprint before/after conv pattern
 //! deduplication (`csr_memory`), the quantized serving path (`quant`:
 //! packed 5-bit log-code throughput, code bytes vs the f32 weight copy,
@@ -53,9 +52,9 @@ use snn_nn::models::vgg16_scaled;
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
     energy, quantize_model, BackendHint, BrownoutConfig, CsrEngine, DecodeMode, FaultConfig,
-    FaultCounts, FaultInjector, InferenceBackend, InferenceServer, ModelArtifact, ModelRegistry,
-    QuantConfig, QuantEngine, RegistryConfig, RegistryError, RegistryMetrics, ServerConfig,
-    StreamingConfig, StreamingMetrics, StreamingServer, SubmitOptions,
+    FaultCounts, FaultInjector, InferenceBackend, ModelArtifact, ModelRegistry, QuantConfig,
+    QuantEngine, RegistryConfig, RegistryError, RegistryMetrics, StreamingConfig, StreamingMetrics,
+    StreamingServer, SubmitOptions,
 };
 use snn_sim::EventSnn;
 use snn_tensor::Tensor;
@@ -103,16 +102,6 @@ struct CsrMemoryResult {
     conv_dedup_edge_ratio: f64,
     /// flat_bytes / stored_bytes.
     bytes_dedup_ratio: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct PooledResult {
-    images_per_sec: f64,
-    wall_ms: f64,
-    requests: u64,
-    latency_p50_us: f64,
-    latency_p99_us: f64,
-    latency_mean_us: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -440,7 +429,6 @@ struct RuntimeBenchReport {
     event_single: BackendResult,
     csr_single: BackendResult,
     batched: BatchedResult,
-    csr_pooled: PooledResult,
     streaming: StreamingResult,
     gateway: GatewayResult,
     registry: RegistryResult,
@@ -451,7 +439,6 @@ struct RuntimeBenchReport {
     logging: LoggingResult,
     speedup_csr_single: f64,
     speedup_batched: f64,
-    speedup_csr_pooled: f64,
     max_abs_logit_diff_vs_reference: f32,
     logits_within_1e4: bool,
     stats_match_reference_backend: bool,
@@ -536,19 +523,11 @@ fn main() {
         "batched path must be bit-identical to the one-lane walk"
     );
 
-    // CSR engine behind the worker pool.
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
+    // Images per streamed batch window (the floor of `max_batch` below).
     let chunk_size = (batch / (threads * 2)).max(1);
-    let server = InferenceServer::new(
-        Arc::clone(&csr) as Arc<dyn InferenceBackend>,
-        ServerConfig {
-            threads,
-            chunk_size,
-        },
-    );
-    let report = server.run(&x).expect("pooled run");
 
     // CSR engine behind the streaming deadline batcher, driven by a
     // closed-loop load generator (each client submits one image, waits for
@@ -797,12 +776,7 @@ fn main() {
     // Equivalence versus the analytic reference.
     let reference = model.reference_forward(&x).expect("reference forward");
     let max_diff = max_abs_diff(&csr_logits, &reference);
-    let pooled_matches_csr = report.logits.as_slice() == csr_logits.as_slice();
     let event_matches_csr = event_logits.as_slice() == csr_logits.as_slice();
-    assert!(
-        pooled_matches_csr,
-        "pooled logits must equal single-thread CSR logits"
-    );
     assert!(
         event_matches_csr,
         "CSR logits must equal reference-backend logits"
@@ -810,7 +784,7 @@ fn main() {
 
     // Hardware energy report from the fast path's measured event counts.
     let processor = Processor::new(ProcessorConfig::proposed());
-    let hw = energy::energy_report(&processor, &model, &report.stats, &input_dims)
+    let hw = energy::energy_report(&processor, &model, &batched_stats, &input_dims)
         .expect("energy report");
     let quant_hw = energy::quant_energy_report(&processor, &quant_engine, &quant_stats)
         .expect("quant energy report");
@@ -852,14 +826,6 @@ fn main() {
             speedup_vs_csr_single: csr_wall.as_secs_f64() / batched_wall.as_secs_f64(),
             matches_csr_single: batched_matches,
         },
-        csr_pooled: PooledResult {
-            images_per_sec: report.metrics.images_per_sec,
-            wall_ms: report.metrics.wall_ms,
-            requests: report.metrics.requests,
-            latency_p50_us: report.metrics.latency_p50_us,
-            latency_p99_us: report.metrics.latency_p99_us,
-            latency_mean_us: report.metrics.latency_mean_us,
-        },
         streaming,
         gateway,
         registry,
@@ -896,7 +862,6 @@ fn main() {
         logging,
         speedup_csr_single: event_wall.as_secs_f64() / csr_wall.as_secs_f64(),
         speedup_batched: event_wall.as_secs_f64() / batched_wall.as_secs_f64(),
-        speedup_csr_pooled: event_wall.as_secs_f64() / (report.metrics.wall_ms / 1e3),
         max_abs_logit_diff_vs_reference: max_diff,
         logits_within_1e4: max_diff <= 1e-4,
         stats_match_reference_backend: csr_stats == event_stats && batched_stats == event_stats,
@@ -912,16 +877,13 @@ fn main() {
 
     println!("{json}");
     eprintln!(
-        "event {:.1} img/s | csr x1 {:.1} img/s ({:.2}x) | batched({} lanes) {:.1} img/s ({:.2}x) | csr pool({threads}t) {:.1} img/s ({:.2}x) | p99 {:.0} µs | max|Δlogit| {:.2e}",
+        "event {:.1} img/s | csr x1 {:.1} img/s ({:.2}x) | batched({} lanes) {:.1} img/s ({:.2}x) | max|Δlogit| {:.2e}",
         out.event_single.images_per_sec,
         out.csr_single.images_per_sec,
         out.speedup_csr_single,
         out.batched.max_lanes,
         out.batched.images_per_sec,
         out.speedup_batched,
-        out.csr_pooled.images_per_sec,
-        out.speedup_csr_pooled,
-        out.csr_pooled.latency_p99_us,
         out.max_abs_logit_diff_vs_reference,
     );
     eprintln!(

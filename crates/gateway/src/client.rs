@@ -11,7 +11,7 @@
 //! logits bit-for-bit against an expected tensor.
 
 use serde::Serialize;
-use snn_runtime::LatencyRecorder;
+use snn_telemetry::Histogram;
 use snn_tensor::Tensor;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -325,7 +325,7 @@ pub fn run_closed_loop_any(
     let started = Instant::now();
 
     struct ClientTally {
-        latencies: LatencyRecorder,
+        latencies: Histogram,
         requests: u64,
         ok_200: u64,
         shed_429: u64,
@@ -344,7 +344,7 @@ pub fn run_closed_loop_any(
                 scope.spawn(move || {
                     let mut rng = XorShift::new(config.seed ^ (c as u64).wrapping_mul(0x9E37));
                     let mut tally = ClientTally {
-                        latencies: LatencyRecorder::new(),
+                        latencies: Histogram::new(),
                         requests: 0,
                         ok_200: 0,
                         shed_429: 0,
@@ -450,7 +450,7 @@ pub fn run_closed_loop_any(
             .into_iter()
             .map(|h| {
                 h.join().unwrap_or_else(|_| ClientTally {
-                    latencies: LatencyRecorder::new(),
+                    latencies: Histogram::new(),
                     requests: 0,
                     ok_200: 0,
                     shed_429: 0,
@@ -465,7 +465,7 @@ pub fn run_closed_loop_any(
     });
 
     let wall = started.elapsed();
-    let mut latencies = LatencyRecorder::new();
+    let mut latencies = Histogram::new();
     let mut report = LoadReport {
         clients,
         requests: 0,

@@ -51,7 +51,7 @@
 //! use rand::SeedableRng;
 //! use snn_gateway::{client::HttpClient, Gateway, GatewayConfig};
 //! use snn_nn::{DenseLayer, Flatten, Layer, Sequential};
-//! use snn_runtime::{BackendChoice, StreamingConfig};
+//! use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
 //! use ttfs_core::{convert, Base2Kernel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,11 +62,8 @@
 //! ]);
 //! let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 16)?);
 //! let dims = [1usize, 3, 3];
-//! let server = Arc::new(BackendChoice::Csr.serve_streaming(
-//!     Arc::clone(&model),
-//!     &dims,
-//!     StreamingConfig::default(),
-//! )?);
+//! let backend = BackendChoice::Csr.build(Arc::clone(&model), &dims)?;
+//! let server = Arc::new(StreamingServer::new(backend, StreamingConfig::default()));
 //! let mut gateway = Gateway::start(Arc::clone(&server), GatewayConfig::for_dims(&dims))?;
 //!
 //! let mut client = HttpClient::connect(gateway.local_addr())?;

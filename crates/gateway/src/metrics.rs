@@ -8,7 +8,8 @@
 //! the whole path from accepted socket to executed batch.
 
 use serde::{Deserialize, Serialize};
-use snn_runtime::{HistogramSnapshot, LatencyRecorder, RegistryMetrics, StreamingMetrics};
+use snn_runtime::{HistogramSnapshot, RegistryMetrics, StreamingMetrics};
+use snn_telemetry::Histogram;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -104,7 +105,7 @@ pub struct GatewayRecorder {
     responses_2xx: u64,
     responses_4xx: u64,
     responses_5xx: u64,
-    routes: BTreeMap<String, LatencyRecorder>,
+    routes: BTreeMap<String, Histogram>,
 }
 
 impl GatewayRecorder {
@@ -146,13 +147,13 @@ impl GatewayRecorder {
     }
 
     /// Snapshots everything recorded so far.
-    pub fn summarize(&mut self) -> GatewayMetrics {
+    pub fn summarize(&self) -> GatewayMetrics {
         let routes: Vec<RouteMetrics> = self
             .routes
-            .iter_mut()
+            .iter()
             .map(|(route, rec)| RouteMetrics {
                 route: route.clone(),
-                requests: rec.len() as u64,
+                requests: rec.count(),
                 latency_mean_us: rec.mean_us(),
                 latency_p50_us: rec.quantile_us(0.50),
                 latency_p99_us: rec.quantile_us(0.99),

@@ -198,12 +198,12 @@ struct Shared {
 /// ```no_run
 /// use std::sync::Arc;
 /// use snn_gateway::{Gateway, GatewayConfig};
-/// use snn_runtime::{BackendChoice, StreamingConfig};
+/// use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// # let model: Arc<ttfs_core::SnnModel> = unimplemented!();
 /// let dims = [3usize, 32, 32];
-/// let server = Arc::new(BackendChoice::Csr.serve_streaming(
-///     Arc::clone(&model), &dims, StreamingConfig::default())?);
+/// let backend = BackendChoice::Csr.build(Arc::clone(&model), &dims)?;
+/// let server = Arc::new(StreamingServer::new(backend, StreamingConfig::default()));
 /// let mut gateway = Gateway::start(server, GatewayConfig::for_dims(&dims))?;
 /// println!("serving on http://{}", gateway.local_addr());
 /// // ... traffic ...
@@ -741,7 +741,7 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
         let labels = Labels::new().with("route", route);
         hub.counter(families::HTTP_REQUESTS, &labels).add(now, 1.0);
         hub.histogram(families::HTTP_E2E_US, &labels)
-            .record_us(now, start.elapsed().as_micros() as u64);
+            .record(now, start.elapsed());
     }
     // Per-request access log: one event per answered request, error-level
     // for 5xx, warn for backpressure, stamped with the caller's trace id
@@ -1711,21 +1711,16 @@ mod tests {
         ]);
         let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
         let dims = [1usize, 2, 4];
-        let server = Arc::new(
-            BackendChoice::Csr
-                .serve_streaming(
-                    Arc::clone(&model),
-                    &dims,
-                    snn_runtime::StreamingConfig {
-                        threads: 1,
-                        max_batch: 2,
-                        max_delay: Duration::from_millis(1),
-                        max_pending: 0,
-                        brownout: None,
-                    },
-                )
-                .unwrap(),
-        );
+        let server = Arc::new(StreamingServer::new(
+            BackendChoice::Csr.build(Arc::clone(&model), &dims).unwrap(),
+            snn_runtime::StreamingConfig {
+                threads: 1,
+                max_batch: 2,
+                max_delay: Duration::from_millis(1),
+                max_pending: 0,
+                brownout: None,
+            },
+        ));
         let mut gateway = Gateway::start(
             Arc::clone(&server),
             GatewayConfig {

@@ -448,6 +448,7 @@ mod tests {
     use serde::field;
     use snn_runtime::StreamingRecorder;
     use snn_telemetry::Labels;
+    use std::time::Duration;
 
     #[test]
     fn stats_body_parses_and_carries_every_top_level_key() {
@@ -456,12 +457,12 @@ mod tests {
         let now = hub.now_s();
         hub.counter(families::REQUESTS, &labels).add(now, 5.0);
         hub.histogram(families::E2E_US, &labels)
-            .record_us(now, 1500);
+            .record(now, Duration::from_micros(1500));
         hub.counter(families::ENERGY_UJ, &labels).add(now, 2000.0);
         let route = Labels::new().with("route", "infer");
         hub.counter(families::HTTP_REQUESTS, &route).add(now, 5.0);
         hub.histogram(families::HTTP_E2E_US, &route)
-            .record_us(now, 1700);
+            .record(now, Duration::from_micros(1700));
 
         let streaming = StreamingRecorder::new().summarize();
         let gateway = crate::metrics::GatewayRecorder::new().summarize();

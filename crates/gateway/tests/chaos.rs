@@ -18,7 +18,9 @@ use rand::SeedableRng;
 use serde::{field, Content};
 use snn_gateway::{client::HttpClient, run_closed_loop, Gateway, GatewayConfig, LoadGenConfig};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, BrownoutConfig, FaultConfig, FaultInjector, StreamingConfig};
+use snn_runtime::{
+    BackendChoice, BrownoutConfig, FaultConfig, FaultInjector, StreamingConfig, StreamingServer,
+};
 use snn_sim::EventSnn;
 use snn_trace::{TraceCollector, TraceId};
 use ttfs_core::{convert, Base2Kernel, SnnModel};
@@ -89,21 +91,18 @@ fn seeded_chaos_storms_resolve_every_request_and_the_stack_survives() {
     // One stack for every storm: its workers must absorb each seed's
     // panics and still serve the clean pass at the end.
     let clients = 4usize;
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new(
         BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 2,
-                    max_batch: 4,
-                    max_delay: Duration::from_micros(500),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("streaming stack"),
-    );
+        StreamingConfig {
+            threads: 2,
+            max_batch: 4,
+            max_delay: Duration::from_micros(500),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -208,21 +207,18 @@ fn shed_429_carries_retry_after_and_the_client_parses_it() {
     // One admission slot and a long batching window: the first request
     // parks in the batcher holding the slot, so a concurrent request
     // must shed on the wire.
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new(
         BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 64,
-                    max_delay: Duration::from_millis(300),
-                    max_pending: 1,
-                    brownout: None,
-                },
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("streaming stack"),
-    );
+        StreamingConfig {
+            threads: 1,
+            max_batch: 64,
+            max_delay: Duration::from_millis(300),
+            max_pending: 1,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -277,25 +273,22 @@ fn brownout_sheds_low_priority_on_the_wire_and_recovers() {
 
     // A slow single-thread backend with a wide window piles the pending
     // queue past high water under 6 concurrent clients.
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new(
         BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 2,
-                    max_delay: Duration::from_millis(4),
-                    max_pending: 0,
-                    brownout: Some(BrownoutConfig {
-                        high_water: 3,
-                        low_water: 1,
-                        shed_below_priority: 2,
-                    }),
-                },
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("streaming stack"),
-    );
+        StreamingConfig {
+            threads: 1,
+            max_batch: 2,
+            max_delay: Duration::from_millis(4),
+            max_pending: 0,
+            brownout: Some(BrownoutConfig {
+                high_water: 3,
+                low_water: 1,
+                shed_below_priority: 2,
+            }),
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -373,22 +366,19 @@ fn chaos_storm_writes_trace_correlated_incident_snapshots() {
     let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
     let collector = Arc::new(TraceCollector::new(0));
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new_traced(
         BackendChoice::Csr
-            .serve_streaming_traced(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 2,
-                    max_batch: 4,
-                    max_delay: Duration::from_micros(500),
-                    max_pending: 0,
-                    brownout: None,
-                },
-                Arc::clone(&collector),
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("traced streaming stack"),
-    );
+        StreamingConfig {
+            threads: 2,
+            max_batch: 4,
+            max_delay: Duration::from_micros(500),
+            max_pending: 0,
+            brownout: None,
+        },
+        Arc::clone(&collector),
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

@@ -20,7 +20,7 @@ use snn_gateway::{
     client::HttpClient, run_closed_loop, Gateway, GatewayConfig, InferRequest, LoadGenConfig,
 };
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, StreamingConfig};
+use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
 use snn_sim::EventSnn;
 use ttfs_core::{convert, Base2Kernel, SnnModel};
 
@@ -63,19 +63,13 @@ proptest! {
         let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
         let server = Arc::new(
-            BackendChoice::Csr
-                .serve_streaming(
-                    Arc::clone(&model),
-                    &DIMS,
-                    StreamingConfig {
+            StreamingServer::new(BackendChoice::Csr.build(Arc::clone(&model), &DIMS).expect("streaming stack"), StreamingConfig {
                         threads: 2,
                         max_batch,
                         max_delay: Duration::from_micros(delay_us),
                         max_pending: 0,
                         brownout: None,
-                    },
-                )
-                .expect("streaming stack"),
+                    }),
         );
         let mut gateway = Gateway::start(
             Arc::clone(&server),
@@ -124,23 +118,20 @@ fn forced_backpressure_yields_429_without_corrupting_responses() {
     let x = snn_tensor::uniform(&[n, 1, 2, 4], 0.0, 1.0, &mut rng);
     let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new(
         BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 64,
-                    // A wide window: one admitted request parks here while
-                    // concurrent submitters bounce off max_pending.
-                    max_delay: Duration::from_millis(15),
-                    max_pending: 1,
-                    brownout: None,
-                },
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("streaming stack"),
-    );
+        StreamingConfig {
+            threads: 1,
+            max_batch: 64,
+            // A wide window: one admitted request parks here while
+            // concurrent submitters bounce off max_pending.
+            max_delay: Duration::from_millis(15),
+            max_pending: 1,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -203,21 +194,16 @@ fn forced_backpressure_yields_429_without_corrupting_responses() {
 #[test]
 fn metrics_endpoint_reports_traffic_and_sheds() {
     let model = Arc::new(dense_model(7));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 2,
-                    max_delay: Duration::from_millis(1),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 2,
+            max_delay: Duration::from_millis(1),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -256,21 +242,16 @@ fn metrics_endpoint_reports_traffic_and_sheds() {
 #[test]
 fn huge_client_deadline_is_clamped_to_handler_timeout() {
     let model = Arc::new(dense_model(33));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 64, // count flush unreachable
-                    max_delay: Duration::from_secs(30),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 64, // count flush unreachable
+            max_delay: Duration::from_secs(30),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -305,21 +286,16 @@ fn huge_client_deadline_is_clamped_to_handler_timeout() {
 #[test]
 fn tight_deadline_pulls_a_relaxed_window_forward() {
     let model = Arc::new(dense_model(21));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 64, // count flush unreachable
-                    max_delay: Duration::from_secs(30),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 64, // count flush unreachable
+            max_delay: Duration::from_secs(30),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

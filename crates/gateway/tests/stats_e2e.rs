@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use serde::{field, Content};
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferResponse};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, StreamingConfig};
+use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
 use ttfs_core::{convert, Base2Kernel, SnnModel};
 
 const DIMS: [usize; 3] = [1, 2, 4];
@@ -39,21 +39,18 @@ fn dense_model(seed: u64) -> SnnModel {
 
 fn start_gateway(seed: u64) -> (Gateway, Arc<snn_runtime::StreamingServer>) {
     let model = Arc::new(dense_model(seed));
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new(
         BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 4,
-                    max_delay: Duration::from_micros(200),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("streaming stack"),
-    );
+        StreamingConfig {
+            threads: 1,
+            max_batch: 4,
+            max_delay: Duration::from_micros(200),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -178,11 +175,10 @@ fn dashboard_serves_self_contained_html() {
 #[test]
 fn telemetry_off_disables_stats_routes_but_not_inference() {
     let model = Arc::new(dense_model(9));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(Arc::clone(&model), &DIMS, StreamingConfig::default())
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        StreamingConfig::default(),
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

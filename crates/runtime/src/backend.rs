@@ -5,7 +5,7 @@
 //! implementations ship: `snn_sim`'s reference [`EventSnn`], the
 //! [`crate::CsrEngine`] f32 fast path, and the [`crate::QuantEngine`]
 //! packed-log-code path. All are driven identically by the
-//! [`crate::InferenceServer`] worker pool, and all feed the same event
+//! [`crate::StreamingServer`] worker pool, and all feed the same event
 //! statistics into the `snn-hw` energy model. [`BackendChoice`] is the
 //! engine factory: it builds any of the three from one shared `Arc`'d
 //! model, so an f32 server and a quantized server can run side by side on
@@ -17,9 +17,7 @@ use snn_sim::{EventSnn, RunStats};
 use snn_tensor::Tensor;
 use ttfs_core::{ConvertError, SnnModel};
 
-use crate::batcher::StreamingConfig;
 use crate::quant::{QuantConfig, QuantEngine};
-use crate::server::{InferenceServer, ServerConfig, StreamingServer};
 use crate::CsrEngine;
 
 /// A batch-capable inference engine over a converted SNN.
@@ -63,10 +61,11 @@ impl InferenceBackend for EventSnn {
     }
 }
 
-/// Which engine a server should execute — the factory both
-/// [`crate::InferenceServer`] and [`crate::StreamingServer`] builds
-/// backends through, so f32 and quantized serving are a one-line switch
-/// over the same `Arc`'d model.
+/// Which engine a server should execute — the factory
+/// [`crate::StreamingServer`] backends are built through
+/// (`StreamingServer::new(choice.build(model, dims)?, config)`), so f32
+/// and quantized serving are a one-line switch over the same `Arc`'d
+/// model.
 ///
 /// # Example
 ///
@@ -74,7 +73,7 @@ impl InferenceBackend for EventSnn {
 /// use std::sync::Arc;
 /// use rand::SeedableRng;
 /// use snn_nn::{DenseLayer, Flatten, Layer, Sequential};
-/// use snn_runtime::{BackendChoice, InferenceServer, QuantConfig, ServerConfig};
+/// use snn_runtime::{BackendChoice, QuantConfig, StreamingConfig, StreamingServer};
 /// use snn_tensor::Tensor;
 /// use ttfs_core::{convert, Base2Kernel};
 ///
@@ -86,19 +85,19 @@ impl InferenceBackend for EventSnn {
 /// ]);
 /// let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 16)?);
 /// // One weight copy, two serving modes.
-/// let config = ServerConfig { threads: 2, chunk_size: 4 };
-/// let f32_server = InferenceServer::new(
+/// let config = StreamingConfig { threads: 2, ..StreamingConfig::default() };
+/// let f32_server = StreamingServer::new(
 ///     BackendChoice::Csr.build(Arc::clone(&model), &[1, 3, 3])?,
 ///     config.clone(),
 /// );
-/// let quant_server = InferenceServer::new(
+/// let quant_server = StreamingServer::new(
 ///     BackendChoice::Quant(QuantConfig::default()).build(Arc::clone(&model), &[1, 3, 3])?,
 ///     config,
 /// );
-/// let x = Tensor::full(&[4, 1, 3, 3], 0.5);
 /// assert_eq!(f32_server.backend_name(), "csr");
 /// assert_eq!(quant_server.backend_name(), "quant");
-/// assert_eq!(quant_server.run(&x)?.logits.dims(), &[4, 2]);
+/// let response = quant_server.submit(&Tensor::full(&[1, 3, 3], 0.5))?.wait()?;
+/// assert_eq!(response.logits.dims(), &[2]);
 /// # Ok(())
 /// # }
 /// ```
@@ -139,58 +138,5 @@ impl BackendChoice {
                 Arc::new(QuantEngine::compile_shared(model, input_dims, *config)?)
             }
         })
-    }
-
-    /// Builds the chosen backend and wraps it in a closed-batch
-    /// [`InferenceServer`] in one call.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build).
-    pub fn serve_batched(
-        &self,
-        model: Arc<SnnModel>,
-        input_dims: &[usize],
-        config: ServerConfig,
-    ) -> Result<InferenceServer, ConvertError> {
-        Ok(InferenceServer::new(self.build(model, input_dims)?, config))
-    }
-
-    /// Builds the chosen backend and wraps it in a [`StreamingServer`] in
-    /// one call — the construction path a network front-end (the
-    /// `snn-gateway` crate) uses to stand up a serving stack from one
-    /// shared model.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build).
-    pub fn serve_streaming(
-        &self,
-        model: Arc<SnnModel>,
-        input_dims: &[usize],
-        config: StreamingConfig,
-    ) -> Result<StreamingServer, ConvertError> {
-        Ok(StreamingServer::new(self.build(model, input_dims)?, config))
-    }
-
-    /// [`serve_streaming`](Self::serve_streaming) with a span sink: the
-    /// server records runtime spans (queue wait, flush reason, batch and
-    /// per-stage execution) into `collector` for every traced submission.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build).
-    pub fn serve_streaming_traced(
-        &self,
-        model: Arc<SnnModel>,
-        input_dims: &[usize],
-        config: StreamingConfig,
-        collector: Arc<snn_trace::TraceCollector>,
-    ) -> Result<StreamingServer, ConvertError> {
-        Ok(StreamingServer::new_traced(
-            self.build(model, input_dims)?,
-            config,
-            collector,
-        ))
     }
 }

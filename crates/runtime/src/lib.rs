@@ -30,21 +30,18 @@
 //!   bounds. In LUT mode, logits are **bit-identical** to the reference
 //!   simulator over [`snn_logquant::LogQuantizer::quantize_tensor`]'d
 //!   weights.
-//! * [`InferenceServer`] / [`WorkerPool`] — batch requests fan out over a
-//!   `std::thread` pool with a submission queue; per-request latency is
-//!   recorded and summarized as p50/p99 + images/sec
-//!   ([`ThroughputMetrics`]).
-//! * [`StreamingServer`] / [`DeadlineBatcher`] — the open-traffic path:
-//!   requests arrive one at a time (`submit(image) -> Ticket`, or
-//!   `submit_with` carrying per-request [`SubmitOptions`]), an EDF
+//! * [`StreamingServer`] / [`DeadlineBatcher`] / [`WorkerPool`] — the
+//!   serving path: requests arrive one at a time (`submit(image) ->
+//!   Ticket`, or `submit_with` carrying per-request [`SubmitOptions`]), an EDF
 //!   batcher flushes the pending window at `max_batch` or when the
 //!   **earliest admitted deadline** expires (plain submissions inherit
-//!   `max_delay`), and [`StreamingMetrics`] splits queue-wait from
-//!   execution time, histograms batch occupancy and counts backpressure
-//!   sheds. Streamed logits are bit-identical to a closed
-//!   [`InferenceServer::run`] over the same images regardless of arrival
-//!   interleaving, deadlines or priorities. The `snn-gateway` crate
-//!   fronts this server with a dependency-free HTTP/1.1 edge.
+//!   `max_delay`), formed batches run on a `std::thread` [`WorkerPool`],
+//!   and [`StreamingMetrics`] splits queue-wait from execution time,
+//!   histograms batch occupancy and counts backpressure sheds. Streamed
+//!   logits are bit-identical to one [`InferenceBackend::run_batch`] over
+//!   the same images regardless of arrival interleaving, deadlines or
+//!   priorities. The `snn-gateway` crate fronts this server with a
+//!   dependency-free HTTP/1.1 edge.
 //! * [`ModelArtifact`] / [`ModelRegistry`] — the many-models layer: a
 //!   versioned on-disk artifact format (magic + format version + checksum,
 //!   bit-exact f32 round-trip of weights **and** per-layer quantizer
@@ -62,7 +59,7 @@
 //! use std::sync::Arc;
 //! use rand::SeedableRng;
 //! use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-//! use snn_runtime::{CsrEngine, InferenceServer, ServerConfig};
+//! use snn_runtime::{CsrEngine, InferenceBackend, StreamingConfig, StreamingServer};
 //! use snn_tensor::Tensor;
 //! use ttfs_core::{convert, Base2Kernel};
 //!
@@ -76,10 +73,15 @@
 //! ]);
 //! let model = convert(&net, Base2Kernel::paper_default(), 24)?;
 //! let engine = Arc::new(CsrEngine::compile(&model, &[1, 4, 4])?);
-//! let server = InferenceServer::new(engine, ServerConfig { threads: 2, chunk_size: 4 });
-//! let report = server.run(&Tensor::full(&[8, 1, 4, 4], 0.5))?;
-//! assert_eq!(report.logits.dims(), &[8, 2]);
-//! assert!(report.metrics.images_per_sec > 0.0);
+//! // Offline: one batched call.
+//! let (logits, _stats) = engine.run_batch(&Tensor::full(&[8, 1, 4, 4], 0.5))?;
+//! assert_eq!(logits.dims(), &[8, 2]);
+//! // Served: one request at a time, batched by deadline.
+//! let config = StreamingConfig { threads: 2, ..StreamingConfig::default() };
+//! let server = StreamingServer::new(engine, config);
+//! let response = server.submit(&Tensor::full(&[1, 4, 4], 0.5))?.wait()?;
+//! assert_eq!(response.logits.as_slice(), &logits.as_slice()[..2]);
+//! assert_eq!(server.shutdown().requests, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -115,8 +117,8 @@ pub use csr::{
 pub use engine::{CsrEngine, DEFAULT_MAX_LANES};
 pub use faults::{FaultConfig, FaultCounts, FaultInjector, FaultPoint};
 pub use metrics::{
-    HistogramBucket, HistogramSnapshot, LatencyRecorder, LogHistogram, LogSink, OccupancyBucket,
-    StreamingMetrics, StreamingRecorder, ThroughputMetrics,
+    HistogramBucket, HistogramSnapshot, LogSink, OccupancyBucket, StreamingMetrics,
+    StreamingRecorder,
 };
 pub use quant::{
     fit_layer_quantizers, quantize_model, DecodeMode, QuantConfig, QuantCsrModel, QuantEngine,
@@ -126,8 +128,6 @@ pub use registry::{
     ModelHandle, ModelRegistry, ModelStatus, RegistryConfig, RegistryError, RegistryMetrics,
     SwapReport,
 };
-pub use server::{
-    BatchReport, InferenceServer, ServerConfig, StreamingServer, DEADLINE_MISS_GRACE,
-};
+pub use server::{StreamingServer, DEADLINE_MISS_GRACE};
 pub use wheel::{BatchWheel, LaneSpike, TimeWheel, WheelSpike};
 pub use workers::{PoolClosed, WorkerPool};

@@ -1,8 +1,8 @@
-//! Per-request latency and throughput accounting, for both serving paths:
-//! the closed-batch [`crate::InferenceServer`] ([`ThroughputMetrics`]) and
-//! the streaming [`crate::StreamingServer`] ([`StreamingMetrics`], which
-//! additionally splits queue-wait from execution time and histograms the
-//! sizes of the batches the deadline batcher formed).
+//! Per-request latency and throughput accounting for the
+//! [`crate::StreamingServer`]: [`StreamingMetrics`] splits queue-wait from
+//! execution time and histograms the sizes of the batches the deadline
+//! batcher formed. Every latency distribution is an
+//! [`snn_telemetry::Histogram`].
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -11,248 +11,10 @@ use std::time::{Duration, Instant};
 
 use snn_log::{IncidentRecorder, LogCollector, TraceId};
 use snn_sim::RunStats;
-use snn_telemetry::{families, Labels, TelemetryHub, WindowCounter, WindowHistogram};
+use snn_telemetry::{families, Histogram, Labels, TelemetryHub, WindowCounter, WindowHistogram};
 
 use crate::batcher::FlushReason;
 use crate::energy::EnergyPricer;
-
-/// Reservoir capacity of a [`LatencyRecorder`]: counts, totals and means
-/// stay exact forever, while quantile queries past this many samples are
-/// computed over a uniform reservoir — a recorder feeding a long-running
-/// metrics endpoint must stay bounded in memory and scrape-time sort cost.
-const RESERVOIR_CAPACITY: usize = 65_536;
-
-/// Collects per-request latencies and computes order statistics.
-///
-/// Samples are kept unsorted while recording; the first quantile query
-/// after a record sorts **in place, once** — repeated queries (and
-/// [`summarize`](Self::summarize), which asks for several quantiles) reuse
-/// the sorted order instead of cloning and re-sorting per call.
-///
-/// Memory is bounded: the first 65,536 samples are kept exactly; beyond
-/// that, reservoir sampling (deterministic LCG, uniform over the whole
-/// stream) keeps quantiles representative while
-/// [`len`](Self::len), [`total_us`](Self::total_us) and
-/// [`mean_us`](Self::mean_us) remain exact over every recorded sample.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples_us: Vec<f64>,
-    sorted: bool,
-    /// Total samples ever recorded (exact; ≥ `samples_us.len()`).
-    count: u64,
-    /// Exact running sum over every recorded sample, microseconds.
-    total_us: f64,
-    /// LCG state for reservoir replacement decisions.
-    rng: u64,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn next_rng(&mut self) -> u64 {
-        self.rng = self
-            .rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.rng
-    }
-
-    /// Records one request latency.
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_secs_f64() * 1e6;
-        self.count += 1;
-        self.total_us += us;
-        if self.samples_us.len() < RESERVOIR_CAPACITY {
-            self.samples_us.push(us);
-            self.sorted = false;
-        } else {
-            // Classic reservoir step: keep each of the `count` samples
-            // with equal probability capacity/count.
-            let slot = (self.next_rng() % self.count) as usize;
-            if slot < RESERVOIR_CAPACITY {
-                self.samples_us[slot] = us;
-                self.sorted = false;
-            }
-        }
-    }
-
-    /// Number of recorded requests (exact, even past the reservoir
-    /// capacity).
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Total recorded time in microseconds (exact running sum).
-    pub fn total_us(&self) -> f64 {
-        self.total_us
-    }
-
-    /// Absorbs every sample of `other` (e.g. merging per-thread recorders
-    /// into one summary). Counts and totals merge exactly; if the merged
-    /// samples exceed the reservoir capacity, the surplus re-enters
-    /// through the reservoir.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.count += other.count;
-        self.total_us += other.total_us;
-        for &us in &other.samples_us {
-            if self.samples_us.len() < RESERVOIR_CAPACITY {
-                self.samples_us.push(us);
-                self.sorted = false;
-            } else {
-                let slot = (self.next_rng() % self.count.max(1)) as usize;
-                if slot < RESERVOIR_CAPACITY {
-                    self.samples_us[slot] = us;
-                    self.sorted = false;
-                }
-            }
-        }
-    }
-
-    fn sorted_samples(&mut self) -> &[f64] {
-        if !self.sorted {
-            self.samples_us.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        &self.samples_us
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) in microseconds, by nearest-rank on the
-    /// sorted (reservoir) samples; 0 when empty.
-    pub fn quantile_us(&mut self, q: f64) -> f64 {
-        if self.samples_us.is_empty() {
-            return 0.0;
-        }
-        quantile_from_sorted(self.sorted_samples(), q)
-    }
-
-    /// Mean latency in microseconds; 0 when empty. Exact over every
-    /// recorded sample.
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.total_us / self.count as f64
-    }
-
-    /// Snapshots the recorder into a serializable summary.
-    ///
-    /// Sorts the samples at most once no matter how many quantiles the
-    /// summary contains.
-    pub fn summarize(&mut self, images: usize, wall: Duration) -> ThroughputMetrics {
-        let wall_s = wall.as_secs_f64();
-        ThroughputMetrics {
-            requests: self.len() as u64,
-            images: images as u64,
-            wall_ms: wall_s * 1e3,
-            images_per_sec: if wall_s > 0.0 {
-                images as f64 / wall_s
-            } else {
-                0.0
-            },
-            latency_mean_us: self.mean_us(),
-            latency_p50_us: self.quantile_us(0.50),
-            latency_p99_us: self.quantile_us(0.99),
-        }
-    }
-}
-
-/// Finite buckets of a [`LogHistogram`]: upper bounds 2^0 .. 2^25 µs
-/// (1 µs to ~33.5 s); anything slower lands in the implicit `+Inf`
-/// bucket. Power-of-2 bounds keep recording branch-free (a leading-zeros
-/// count) and give Prometheus `le` bounds that are exact in binary.
-const LOG_HISTOGRAM_BUCKETS: usize = 26;
-
-/// Bounded-memory log-bucket latency histogram (the Prometheus-histogram
-/// companion to [`LatencyRecorder`]'s quantiles): 26 power-of-2 µs
-/// buckets plus overflow, with exact count and sum. Recording is O(1)
-/// with no allocation, so it can sit on the streaming hot path.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    /// Per-bucket (non-cumulative) counts; index i covers
-    /// `(2^(i-1), 2^i]` µs, index 0 covers `[0, 1]` µs, and the final
-    /// slot is the `+Inf` overflow.
-    counts: [u64; LOG_HISTOGRAM_BUCKETS + 1],
-    count: u64,
-    sum_us: f64,
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self {
-            counts: [0; LOG_HISTOGRAM_BUCKETS + 1],
-            count: 0,
-            sum_us: 0.0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros() as u64;
-        // Smallest i with us <= 2^i, i.e. ceil(log2(us)).
-        let idx = if us <= 1 {
-            0
-        } else {
-            (u64::BITS - (us - 1).leading_zeros()) as usize
-        };
-        self.counts[idx.min(LOG_HISTOGRAM_BUCKETS)] += 1;
-        self.count += 1;
-        self.sum_us += latency.as_secs_f64() * 1e6;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations, microseconds.
-    pub fn sum_us(&self) -> f64 {
-        self.sum_us
-    }
-
-    /// Serializable snapshot with **cumulative** bucket counts
-    /// (Prometheus `le` semantics). Finite buckets are emitted up to the
-    /// highest non-empty one; observations above it are only in the
-    /// implicit `+Inf` bucket, whose cumulative count is
-    /// [`count`](HistogramSnapshot::count).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let last_nonzero = self.counts[..LOG_HISTOGRAM_BUCKETS]
-            .iter()
-            .rposition(|&c| c != 0);
-        let mut cumulative = 0;
-        let buckets = match last_nonzero {
-            None => Vec::new(),
-            Some(last) => (0..=last)
-                .map(|i| {
-                    cumulative += self.counts[i];
-                    HistogramBucket {
-                        le_us: 1u64 << i,
-                        count: cumulative,
-                    }
-                })
-                .collect(),
-        };
-        HistogramSnapshot {
-            buckets,
-            count: self.count,
-            sum_us: self.sum_us,
-        }
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// One cumulative bucket of a [`HistogramSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -263,10 +25,10 @@ pub struct HistogramBucket {
     pub count: u64,
 }
 
-/// Serializable log-bucket histogram snapshot (see
-/// [`LogHistogram::snapshot`]); renders directly as a Prometheus
-/// histogram: one `_bucket{le=...}` series per entry plus `+Inf`,
-/// `_sum`, `_count`.
+/// Serializable Prometheus view of a [`Histogram`] (its
+/// [`le_buckets`](Histogram::le_buckets)); renders directly as a
+/// Prometheus histogram: one `_bucket{le=...}` series per entry plus
+/// `+Inf`, `_sum`, `_count`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Cumulative finite buckets, ascending by bound (may be empty).
@@ -277,32 +39,18 @@ pub struct HistogramSnapshot {
     pub sum_us: f64,
 }
 
-/// Nearest-rank quantile over an already-sorted slice; 0 when empty.
-fn quantile_from_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+impl From<&Histogram> for HistogramSnapshot {
+    fn from(hist: &Histogram) -> Self {
+        Self {
+            buckets: hist
+                .le_buckets()
+                .into_iter()
+                .map(|(le_us, count)| HistogramBucket { le_us, count })
+                .collect(),
+            count: hist.count(),
+            sum_us: hist.sum_us(),
+        }
     }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Serializable throughput/latency summary of one batched run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputMetrics {
-    /// Requests (batch chunks) executed.
-    pub requests: u64,
-    /// Images inferred.
-    pub images: u64,
-    /// End-to-end wall-clock time, milliseconds.
-    pub wall_ms: f64,
-    /// Sustained throughput, images per second.
-    pub images_per_sec: f64,
-    /// Mean per-request latency, microseconds.
-    pub latency_mean_us: f64,
-    /// Median per-request latency, microseconds.
-    pub latency_p50_us: f64,
-    /// 99th-percentile per-request latency, microseconds.
-    pub latency_p99_us: f64,
 }
 
 /// One bucket of the batch-occupancy histogram: how many formed batches
@@ -319,6 +67,10 @@ pub struct OccupancyBucket {
 /// end-to-end latency percentiles, the queue-wait versus execution-time
 /// split, and the batch-occupancy distribution the adaptive batcher
 /// produced.
+///
+/// Percentiles come from [`Histogram::quantile_us`]: never below the
+/// exact nearest-rank value, at most 25 % + 1 µs above it. Means, counts
+/// and sums are exact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingMetrics {
     /// Streamed requests completed (one image each).
@@ -392,11 +144,11 @@ pub struct StreamingMetrics {
     /// deadline had already expired — the cumulative companion of the
     /// per-model windowed deadline-miss SLO ratio.
     pub deadline_misses: u64,
-    /// Log-bucket histogram of end-to-end (submit → result) latency.
+    /// Power-of-two bucket view of end-to-end (submit → result) latency.
     pub e2e_histogram: HistogramSnapshot,
-    /// Log-bucket histogram of queue wait (submit → batch exec start).
+    /// Power-of-two bucket view of queue wait (submit → batch exec start).
     pub queue_wait_histogram: HistogramSnapshot,
-    /// Log-bucket histogram of formed-batch backend execution time.
+    /// Power-of-two bucket view of formed-batch backend execution time.
     pub exec_histogram: HistogramSnapshot,
 }
 
@@ -523,12 +275,9 @@ impl LogSink {
 #[derive(Debug, Clone)]
 pub struct StreamingRecorder {
     started: Instant,
-    e2e: LatencyRecorder,
-    queue_wait: LatencyRecorder,
-    exec: LatencyRecorder,
-    e2e_hist: LogHistogram,
-    queue_wait_hist: LogHistogram,
-    exec_hist: LogHistogram,
+    e2e: Histogram,
+    queue_wait: Histogram,
+    exec: Histogram,
     batch_sizes: BTreeMap<u64, u64>,
     sheds: u64,
     brownout_sheds: u64,
@@ -551,12 +300,9 @@ impl StreamingRecorder {
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
-            e2e: LatencyRecorder::new(),
-            queue_wait: LatencyRecorder::new(),
-            exec: LatencyRecorder::new(),
-            e2e_hist: LogHistogram::new(),
-            queue_wait_hist: LogHistogram::new(),
-            exec_hist: LogHistogram::new(),
+            e2e: Histogram::new(),
+            queue_wait: Histogram::new(),
+            exec: Histogram::new(),
             batch_sizes: BTreeMap::new(),
             sheds: 0,
             brownout_sheds: 0,
@@ -598,7 +344,6 @@ impl StreamingRecorder {
     pub fn record_batch(&mut self, size: usize, exec: Duration, reason: FlushReason) {
         *self.batch_sizes.entry(size as u64).or_insert(0) += 1;
         self.exec.record(exec);
-        self.exec_hist.record(exec);
         self.flushes[match reason {
             FlushReason::EdfDeadline => 0,
             FlushReason::MaxBatch => 1,
@@ -606,8 +351,7 @@ impl StreamingRecorder {
         }] += 1;
         if let Some(sink) = &self.sink {
             let now = sink.hub.now_s();
-            sink.exec
-                .record_us(now, exec.as_micros().min(u64::MAX as u128) as u64);
+            sink.exec.record(now, exec);
             sink.record_labeled(
                 families::FLUSHES,
                 "flush_reason",
@@ -740,18 +484,14 @@ impl StreamingRecorder {
     pub fn record_request(&mut self, e2e: Duration, queue_wait: Duration, deadline_missed: bool) {
         self.e2e.record(e2e);
         self.queue_wait.record(queue_wait);
-        self.e2e_hist.record(e2e);
-        self.queue_wait_hist.record(queue_wait);
         if deadline_missed {
             self.deadline_misses += 1;
         }
         if let Some(sink) = &self.sink {
             let now = sink.hub.now_s();
             sink.requests.add(now, 1.0);
-            sink.e2e
-                .record_us(now, e2e.as_micros().min(u64::MAX as u128) as u64);
-            sink.queue_wait
-                .record_us(now, queue_wait.as_micros().min(u64::MAX as u128) as u64);
+            sink.e2e.record(now, e2e);
+            sink.queue_wait.record(now, queue_wait);
             if deadline_missed {
                 sink.deadline_misses.add(now, 1.0);
             }
@@ -760,16 +500,16 @@ impl StreamingRecorder {
 
     /// Completed requests so far.
     pub fn requests(&self) -> u64 {
-        self.e2e.len() as u64
+        self.e2e.count()
     }
 
     /// Snapshots everything recorded so far into a [`StreamingMetrics`].
-    pub fn summarize(&mut self) -> StreamingMetrics {
+    pub fn summarize(&self) -> StreamingMetrics {
         let wall_s = self.started.elapsed().as_secs_f64();
-        let requests = self.e2e.len() as u64;
+        let requests = self.e2e.count();
         let batches: u64 = self.batch_sizes.values().sum();
         let images: u64 = self.batch_sizes.iter().map(|(size, n)| size * n).sum();
-        let e2e_total = self.e2e.total_us();
+        let e2e_total = self.e2e.sum_us();
         StreamingMetrics {
             requests,
             shed_requests: self.sheds,
@@ -791,7 +531,7 @@ impl StreamingRecorder {
             exec_p50_us: self.exec.quantile_us(0.50),
             exec_p99_us: self.exec.quantile_us(0.99),
             queue_wait_share: if e2e_total > 0.0 {
-                self.queue_wait.total_us() / e2e_total
+                self.queue_wait.sum_us() / e2e_total
             } else {
                 0.0
             },
@@ -813,9 +553,9 @@ impl StreamingRecorder {
             batch_retries: self.batch_retries,
             quarantined: self.quarantined,
             deadline_misses: self.deadline_misses,
-            e2e_histogram: self.e2e_hist.snapshot(),
-            queue_wait_histogram: self.queue_wait_hist.snapshot(),
-            exec_histogram: self.exec_hist.snapshot(),
+            e2e_histogram: HistogramSnapshot::from(&self.e2e),
+            queue_wait_histogram: HistogramSnapshot::from(&self.queue_wait),
+            exec_histogram: HistogramSnapshot::from(&self.exec),
         }
     }
 }
@@ -831,99 +571,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_on_known_data() {
-        let mut r = LatencyRecorder::new();
-        for ms in 1..=100u64 {
-            r.record(Duration::from_millis(ms));
-        }
-        assert_eq!(r.len(), 100);
-        assert!((r.quantile_us(0.50) - 50_000.0).abs() < 1.0);
-        assert!((r.quantile_us(0.99) - 99_000.0).abs() < 1.0);
-        assert!((r.quantile_us(1.0) - 100_000.0).abs() < 1.0);
-        assert!((r.mean_us() - 50_500.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn quantiles_stay_correct_across_interleaved_records() {
-        // The sort-once cache must invalidate when new samples arrive.
-        let mut r = LatencyRecorder::new();
-        r.record(Duration::from_millis(30));
-        r.record(Duration::from_millis(10));
-        assert!((r.quantile_us(1.0) - 30_000.0).abs() < 1.0);
-        r.record(Duration::from_millis(50));
-        r.record(Duration::from_millis(20));
-        assert!((r.quantile_us(1.0) - 50_000.0).abs() < 1.0);
-        assert!((r.quantile_us(0.5) - 20_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn reservoir_bounds_memory_but_keeps_counts_exact() {
-        let mut r = LatencyRecorder::new();
-        let n = RESERVOIR_CAPACITY + 10_000;
-        for _ in 0..n {
-            r.record(Duration::from_millis(5));
-        }
-        assert_eq!(r.len(), n, "count stays exact past the reservoir");
-        assert!(r.samples_us.len() <= RESERVOIR_CAPACITY, "memory bounded");
-        assert!((r.mean_us() - 5_000.0).abs() < 1e-6, "mean stays exact");
-        assert!((r.total_us() - n as f64 * 5_000.0).abs() < 1.0);
-        // All samples identical, so quantiles are exact regardless of
-        // which ones the reservoir kept.
-        assert!((r.quantile_us(0.99) - 5_000.0).abs() < 1e-6);
-        let m = r.summarize(n, Duration::from_secs(1));
-        assert_eq!(m.requests, n as u64);
-    }
-
-    #[test]
-    fn merge_combines_counts_totals_and_samples() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(Duration::from_millis(10));
-        b.record(Duration::from_millis(20));
-        b.record(Duration::from_millis(30));
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert!((a.mean_us() - 20_000.0).abs() < 1e-6);
-        assert!((a.quantile_us(1.0) - 30_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_recorder_is_zero() {
-        let mut r = LatencyRecorder::new();
-        assert_eq!(r.quantile_us(0.5), 0.0);
-        assert_eq!(r.mean_us(), 0.0);
-        let m = r.summarize(0, Duration::ZERO);
-        assert_eq!(m.images_per_sec, 0.0);
-        assert_eq!(m.requests, 0);
-    }
-
-    #[test]
-    fn summary_computes_throughput() {
-        let mut r = LatencyRecorder::new();
-        r.record(Duration::from_millis(10));
-        let m = r.summarize(200, Duration::from_secs(2));
-        assert!((m.images_per_sec - 100.0).abs() < 1e-9);
-        assert!((m.wall_ms - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn metrics_serialize_to_json() {
-        let mut r = LatencyRecorder::new();
-        r.record(Duration::from_micros(1500));
-        let m = r.summarize(4, Duration::from_millis(3));
-        let json = serde_json::to_string(&m).unwrap();
-        let back: ThroughputMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
-    }
-
-    #[test]
     fn log_histogram_buckets_by_power_of_two() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         h.record(Duration::from_micros(1)); // bucket le=1
         h.record(Duration::from_micros(2)); // bucket le=2
         h.record(Duration::from_micros(3)); // bucket le=4
         h.record(Duration::from_micros(900)); // bucket le=1024
-        let s = h.snapshot();
+        let s = HistogramSnapshot::from(&h);
         assert_eq!(s.count, 4);
         assert!((s.sum_us - 906.0).abs() < 1.0);
         let bucket = |le: u64| s.buckets.iter().find(|b| b.le_us == le).map(|b| b.count);
@@ -939,13 +593,25 @@ mod tests {
         );
         // Cumulative counts are monotone non-decreasing.
         assert!(s.buckets.windows(2).all(|w| w[0].count <= w[1].count));
+        // Boundaries: 2^k lands in le=2^k, 2^k + 1 in le=2^(k+1).
+        for k in 1..25u32 {
+            let mut edge = Histogram::new();
+            edge.record(Duration::from_micros(1 << k));
+            edge.record(Duration::from_micros((1 << k) + 1));
+            let s = HistogramSnapshot::from(&edge);
+            let bucket = |le: u64| s.buckets.iter().find(|b| b.le_us == le).map(|b| b.count);
+            assert_eq!(bucket(1 << (k - 1)), Some(0), "k={k}");
+            assert_eq!(bucket(1 << k), Some(1), "2^{k} is inside le=2^{k}");
+            assert_eq!(bucket(1 << (k + 1)), Some(2), "2^{k}+1 rounds up");
+            assert_eq!(s.buckets.last().map(|b| b.le_us), Some(1 << (k + 1)));
+        }
     }
 
     #[test]
     fn log_histogram_overflow_lands_in_inf_only() {
-        let mut h = LogHistogram::new();
+        let mut h = Histogram::new();
         h.record(Duration::from_secs(60)); // past the largest finite bucket
-        let s = h.snapshot();
+        let s = HistogramSnapshot::from(&h);
         assert_eq!(s.count, 1);
         assert!(s.buckets.is_empty(), "no finite bucket holds it");
     }
@@ -1001,9 +667,12 @@ mod tests {
         );
         // queue share = (3*4 + 1) / (3*10 + 3) = 13/33.
         assert!((m.queue_wait_share - 13.0 / 33.0).abs() < 1e-9);
-        assert!((m.e2e_p99_us - 10_000.0).abs() < 1.0);
-        assert!((m.exec_p50_us - 2_000.0).abs() < 1.0);
-        // The histograms see the same observations as the recorders.
+        // Quantiles are histogram bin upper edges: at least the exact
+        // nearest-rank value, at most 25 % + 1 µs above it.
+        let within = |v: f64, exact: f64| (exact..=exact * 1.25 + 1.0).contains(&v);
+        assert!(within(m.e2e_p99_us, 10_000.0), "e2e p99 {}", m.e2e_p99_us);
+        assert!(within(m.exec_p50_us, 2_000.0), "exec p50 {}", m.exec_p50_us);
+        // The bucket views see the same observations as the quantiles.
         assert_eq!(m.e2e_histogram.count, 4);
         assert_eq!(m.queue_wait_histogram.count, 4);
         assert_eq!(m.exec_histogram.count, 2);
@@ -1025,7 +694,7 @@ mod tests {
 
     #[test]
     fn empty_streaming_recorder_summarizes_to_zeros() {
-        let mut r = StreamingRecorder::new();
+        let r = StreamingRecorder::new();
         let m = r.summarize();
         assert_eq!(m.requests, 0);
         assert_eq!(m.shed_requests, 0);

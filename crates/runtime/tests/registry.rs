@@ -156,12 +156,14 @@ fn lru_never_evicts_a_model_with_in_flight_work() {
     .unwrap();
 
     let alpha = registry.get_or_load("alpha").unwrap();
+    let mut timings = vec![(alpha.load_ms(), alpha.compile_ms())];
     let ticket = alpha.server().submit(&sample()).unwrap();
     drop(alpha); // only the registry and the parked ticket's server remain
 
     // Loading beta pushes the registry over budget, but alpha has an
     // in-flight request: it must NOT be evicted mid-ticket.
-    let _beta = registry.get_or_load("beta").unwrap();
+    let beta = registry.get_or_load("beta").unwrap();
+    timings.push((beta.load_ms(), beta.compile_ms()));
     let states: Vec<_> = registry
         .list()
         .into_iter()
@@ -178,11 +180,27 @@ fn lru_never_evicts_a_model_with_in_flight_work() {
     assert_eq!(response.logits.dims(), &[3]);
 
     // With alpha idle again, the next over-budget load may evict it.
-    let _gamma = registry.get_or_load("gamma").unwrap();
+    let gamma = registry.get_or_load("gamma").unwrap();
+    timings.push((gamma.load_ms(), gamma.compile_ms()));
     let metrics = registry.metrics();
     assert!(
         metrics.evictions >= 1,
         "idle LRU entry is evictable once its work drains: {metrics:?}"
+    );
+    // The reported maxima are the exact slowest load and compile, not a
+    // histogram bin edge.
+    assert_eq!(metrics.cold_loads, 3);
+    let load_max = timings.iter().map(|t| t.0).fold(0.0, f64::max);
+    let compile_max = timings.iter().map(|t| t.1).fold(0.0, f64::max);
+    assert!(
+        (metrics.load_ms_max - load_max).abs() < 1e-6,
+        "load max {} vs {load_max}",
+        metrics.load_ms_max
+    );
+    assert!(
+        (metrics.compile_ms_max - compile_max).abs() < 1e-6,
+        "compile max {} vs {compile_max}",
+        metrics.compile_ms_max
     );
     assert!(!registry
         .list()

@@ -1,8 +1,12 @@
-//! Windowed time-series metrics for the serving stack.
+//! Latency histograms and windowed time-series metrics for the serving
+//! stack.
 //!
-//! The cumulative recorders in `snn-runtime` answer "what happened since
-//! boot"; this crate answers "what is happening *now*". Each series is a
-//! ring of fixed-width time slots — memory stays bounded no matter how
+//! [`Histogram`] is the workspace's one latency distribution: log-linear
+//! bins with an exact count, sum and max. Its cumulative view answers
+//! "what happened since boot" (streaming p50/p99, the Prometheus
+//! histograms, gateway route latencies, registry load times); the
+//! windowed series below answer "what is happening *now*". Each series is
+//! a ring of fixed-width time slots — memory stays bounded no matter how
 //! long the process runs — and queries merge the slots covering the last
 //! 10 s / 1 m / 5 m into sliding-window rates and quantiles:
 //!
@@ -11,11 +15,12 @@
 //!   and energy-µJ sums; exposes a cumulative total plus per-window sums
 //!   and rates.
 //! - [`WindowGauge`] — last-written value (resident bytes, queue depth).
-//! - [`WindowHistogram`] — 5-second slots, 60-slot ring, log-linear bins
-//!   (base-2 octaves split into 4 linear sub-bins, so every bin is at
-//!   most 25 % wide); window quantiles are nearest-rank over the merged
-//!   bins and return the bin's upper edge, overestimating the exact
-//!   sample quantile by at most one bin width (~25 %).
+//! - [`WindowHistogram`] — 5-second slots, 60-slot ring, with the same
+//!   log-linear bins as [`Histogram`] (base-2 octaves split into 4 linear
+//!   sub-bins, so every bin is at most 25 % wide); window quantiles are
+//!   nearest-rank over the merged bins and return the bin's upper edge,
+//!   overestimating the exact sample quantile by at most one bin width
+//!   (~25 %).
 //!
 //! Series are grouped into named families inside a [`TelemetryHub`] and
 //! addressed by [`Labels`] (`model`, `route`, `flush_reason`, …). Every
@@ -37,7 +42,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The sliding windows every snapshot reports, in seconds: 10 s, 1 m, 5 m.
 pub const WINDOWS_S: [u64; 3] = [10, 60, 300];
@@ -188,43 +193,206 @@ impl Default for WindowGauge {
 }
 
 // ---------------------------------------------------------------------------
-// WindowHistogram
+// Histogram
 // ---------------------------------------------------------------------------
 
-/// Number of base-2 octaves the bins cover: values 1 µs .. 2^26 µs
-/// (~67 s); anything slower lands in one overflow bin.
+/// Number of base-2 octaves the bins cover: `(2^o, 2^(o+1)]` µs for
+/// `o` in `0..26`, i.e. up to 2^26 µs (~67 s); anything slower lands in
+/// one overflow bin.
 const HIST_OCTAVES: usize = 26;
 /// Linear sub-bins per octave; 4 keeps every bin ≤ 25 % wide.
 const HIST_SUBS: usize = 4;
-/// Finite bins plus one overflow bin.
-const HIST_BINS: usize = HIST_OCTAVES * HIST_SUBS + 1;
+/// The `[0, 1]` µs bin, the octave sub-bins, and one overflow bin.
+const HIST_BINS: usize = 1 + HIST_OCTAVES * HIST_SUBS + 1;
+/// Power-of-two `le` buckets the Prometheus view emits: 2^0 .. 2^25 µs
+/// (1 µs to ~33.5 s). Slower observations are only in `+Inf`.
+const LE_BUCKETS: usize = 26;
 
-/// Bin index for a value in µs. Monotone non-decreasing in `us`, so
-/// nearest-rank over bins agrees with nearest-rank over samples up to
-/// bin width.
+/// Bin index for a value in whole µs. Bins are closed on their upper
+/// edge, `(lo, hi]`, so octave `o`'s last sub-bin ends exactly at
+/// 2^(o+1) and the `le` view is a plain prefix sum. Monotone
+/// non-decreasing in `us`, so nearest-rank over bins agrees with
+/// nearest-rank over samples up to bin width.
 fn hist_bin(us: u64) -> usize {
     if us <= 1 {
         return 0;
     }
-    let octave = (u64::BITS - 1 - us.leading_zeros()) as usize;
+    // Octave o holds (2^o, 2^(o+1)], i.e. o = floor(log2(us - 1)).
+    let octave = (u64::BITS - 1 - (us - 1).leading_zeros()) as usize;
     if octave >= HIST_OCTAVES {
         return HIST_BINS - 1;
     }
     let base = 1u64 << octave;
-    let sub = ((us - base) * HIST_SUBS as u64 / base) as usize;
-    octave * HIST_SUBS + sub.min(HIST_SUBS - 1)
+    // ceil((us - base) * SUBS / base) - 1: the sub-bin whose upper edge
+    // is the first at or above `us`.
+    let sub = ((us - base) * HIST_SUBS as u64 - 1) / base;
+    1 + octave * HIST_SUBS + sub as usize
+}
+
+/// Bin index of a duration, over its whole (truncated) µs.
+fn duration_bin(latency: Duration) -> usize {
+    hist_bin(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX))
 }
 
 /// Inclusive upper edge of a bin, µs. The overflow bin reports the top
 /// of the finite range.
 fn hist_bin_upper_us(bin: usize) -> f64 {
+    if bin == 0 {
+        return 1.0;
+    }
     if bin >= HIST_BINS - 1 {
         return (1u64 << HIST_OCTAVES) as f64;
     }
-    let octave = bin / HIST_SUBS;
-    let sub = bin % HIST_SUBS;
+    let octave = (bin - 1) / HIST_SUBS;
+    let sub = (bin - 1) % HIST_SUBS;
     (1u64 << octave) as f64 * (1.0 + (sub + 1) as f64 / HIST_SUBS as f64)
 }
+
+/// The bin holding the nearest-rank `q`-quantile of `count` observations
+/// spread over `bins`.
+fn rank_bin(bins: &[u64], count: u64, q: f64) -> usize {
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
+    let mut cumulative = 0u64;
+    for (i, &b) in bins.iter().enumerate() {
+        cumulative += b;
+        if cumulative >= rank {
+            return i;
+        }
+    }
+    bins.len() - 1
+}
+
+/// The workspace's one latency distribution: log-linear bins (4 linear
+/// sub-bins per base-2 octave, `[0, 1]` µs then `(2^o, 2^(o+1)]` up to
+/// 2^26 µs, plus overflow) with an exact count, an exact `f64` sum and
+/// an exact max. Fixed memory and O(1), allocation-free recording.
+///
+/// This is the cumulative view: it backs the streaming p50/p99 and
+/// Prometheus histograms, the gateway's per-route latencies, registry
+/// load/compile times and the load generator's report.
+/// [`WindowHistogram`] keeps one alongside its windowed ring.
+///
+/// Bins are filled from whole (truncated) µs. [`quantile_us`] returns
+/// the upper edge of the bin holding the nearest rank, capped at the
+/// exact max: never below the exact sample quantile (in whole µs) and at
+/// most one bin width (≤ 25 % + 1 µs) above it. [`le_buckets`] gives the
+/// Prometheus power-of-two view.
+///
+/// [`quantile_us`]: Self::quantile_us
+/// [`le_buckets`]: Self::le_buckets
+#[derive(Debug, Clone)]
+pub struct Histogram {
+    bins: [u64; HIST_BINS],
+    count: u64,
+    sum_us: f64,
+    max: Duration,
+}
+
+impl Histogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self {
+            bins: [0; HIST_BINS],
+            count: 0,
+            sum_us: 0.0,
+            max: Duration::ZERO,
+        }
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, latency: Duration) {
+        self.bins[duration_bin(latency)] += 1;
+        self.count += 1;
+        self.sum_us += latency.as_secs_f64() * 1e6;
+        self.max = self.max.max(latency);
+    }
+
+    /// Absorbs every observation of `other` (merging per-thread
+    /// histograms into one summary); exact, since both share one bin
+    /// layout.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (b, &o) in self.bins.iter_mut().zip(other.bins.iter()) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum_us += other.sum_us;
+        self.max = self.max.max(other.max);
+    }
+
+    /// Observations recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all observations, µs.
+    pub fn sum_us(&self) -> f64 {
+        self.sum_us
+    }
+
+    /// Mean observation, µs; 0 when empty.
+    pub fn mean_us(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_us / self.count as f64
+        }
+    }
+
+    /// Largest observation, µs (exact); 0 when empty.
+    pub fn max_us(&self) -> f64 {
+        // Whole nanoseconds divide exactly into µs where the result is
+        // representable, so an integral-µs max reads back exactly.
+        self.max.as_nanos() as f64 / 1e3
+    }
+
+    /// Nearest-rank `q`-quantile (0 ≤ q ≤ 1), µs; 0 when empty. See the
+    /// type docs for the tolerance.
+    pub fn quantile_us(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let bin = rank_bin(&self.bins, self.count, q);
+        if bin == HIST_BINS - 1 {
+            // Past the finite range only the exact max bounds the rank.
+            return self.max_us();
+        }
+        hist_bin_upper_us(bin).min(self.max_us())
+    }
+
+    /// Cumulative Prometheus `le` buckets as `(le_us, count)`, `le_us`
+    /// the powers of two 2^0 .. 2^25. Buckets are emitted up to the
+    /// highest non-empty one; observations above 2^25 µs are only in the
+    /// implicit `+Inf` bucket, whose cumulative count is
+    /// [`count`](Self::count).
+    pub fn le_buckets(&self) -> Vec<(u64, u64)> {
+        let mut cumulative = 0u64;
+        let mut buckets: Vec<(u64, u64)> = (0..LE_BUCKETS)
+            .map(|k| {
+                // le = 2^k closes with the last sub-bin of octave k-1,
+                // bin index HIST_SUBS * k.
+                let first = if k == 0 { 0 } else { HIST_SUBS * (k - 1) + 1 };
+                cumulative += self.bins[first..=HIST_SUBS * k].iter().sum::<u64>();
+                (1u64 << k, cumulative)
+            })
+            .collect();
+        let keep = buckets
+            .iter()
+            .position(|&(_, c)| c == cumulative && c > 0)
+            .map_or(0, |i| i + 1);
+        buckets.truncate(keep);
+        buckets
+    }
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// WindowHistogram
+// ---------------------------------------------------------------------------
 
 struct HistSlot {
     stamp: u64,
@@ -233,17 +401,19 @@ struct HistSlot {
 
 struct HistState {
     slots: Vec<HistSlot>,
-    count: u64,
-    sum_us: f64,
+    total: Histogram,
 }
 
-/// Latency histogram over a ring of 5-second slots with log-linear
-/// bins (4 linear sub-bins per base-2 octave, 1 µs .. 2^26 µs).
+/// Latency series over a ring of 5-second slots, with the same
+/// log-linear bins as [`Histogram`].
 ///
-/// Window quantiles are nearest-rank over the merged window bins and
-/// return the containing bin's **upper edge**, so they overestimate the
-/// exact sample quantile by at most one bin width — ≤ 25 % relative
-/// error (plus rounding to whole µs for values under 4 µs).
+/// Two views: [`cumulative`](Self::cumulative) is a [`Histogram`] of
+/// everything ever recorded, and the window queries merge the slots
+/// covering the last `window_s` seconds. Window quantiles are
+/// nearest-rank over the merged window bins and return the containing
+/// bin's **upper edge**, so they overestimate the exact sample quantile
+/// by at most one bin width — ≤ 25 % relative error (plus rounding to
+/// whole µs for values under 4 µs).
 pub struct WindowHistogram {
     inner: Mutex<HistState>,
 }
@@ -259,14 +429,13 @@ impl WindowHistogram {
                         bins: [0; HIST_BINS],
                     })
                     .collect(),
-                count: 0,
-                sum_us: 0.0,
+                total: Histogram::new(),
             }),
         }
     }
 
-    /// Records one observation of `us` microseconds at `now_s`.
-    pub fn record_us(&self, now_s: u64, us: u64) {
+    /// Records one observation at `now_s`.
+    pub fn record(&self, now_s: u64, latency: Duration) {
         let idx = now_s / HIST_SLOT_S;
         let slot = (idx % HIST_SLOTS as u64) as usize;
         let mut st = lock_recover(&self.inner);
@@ -275,19 +444,13 @@ impl WindowHistogram {
             s.bins = [0; HIST_BINS];
             s.stamp = idx;
         }
-        s.bins[hist_bin(us)] += 1;
-        st.count += 1;
-        st.sum_us += us as f64;
+        s.bins[duration_bin(latency)] += 1;
+        st.total.record(latency);
     }
 
-    /// Total observations ever recorded (exact, not windowed).
-    pub fn count(&self) -> u64 {
-        lock_recover(&self.inner).count
-    }
-
-    /// Sum of all observations ever recorded, µs (exact, not windowed).
-    pub fn sum_us(&self) -> f64 {
-        lock_recover(&self.inner).sum_us
+    /// Everything ever recorded (the cumulative, not windowed, view).
+    pub fn cumulative(&self) -> Histogram {
+        lock_recover(&self.inner).total.clone()
     }
 
     /// Merged bins over the last `window_s` seconds ending at `now_s`.
@@ -326,15 +489,7 @@ impl WindowHistogram {
         if count == 0 {
             return 0.0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-        let mut cumulative = 0u64;
-        for (i, &b) in bins.iter().enumerate() {
-            cumulative += b;
-            if cumulative >= rank {
-                return hist_bin_upper_us(i);
-            }
-        }
-        hist_bin_upper_us(HIST_BINS - 1)
+        hist_bin_upper_us(rank_bin(&bins, count, q))
     }
 }
 
@@ -582,22 +737,25 @@ impl TelemetryHub {
                 series: fam
                     .series
                     .values()
-                    .map(|(labels, h)| SeriesSnapshot {
-                        labels: labels.clone(),
-                        value: HistogramWindows {
-                            count: h.count(),
-                            sum_us: h.sum_us(),
-                            windows: WINDOWS_S
-                                .iter()
-                                .map(|&w| WindowQuantiles {
-                                    window_s: w,
-                                    count: h.window_count(now_s, w),
-                                    p50_us: h.window_quantile_us(now_s, w, 0.50),
-                                    p95_us: h.window_quantile_us(now_s, w, 0.95),
-                                    p99_us: h.window_quantile_us(now_s, w, 0.99),
-                                })
-                                .collect(),
-                        },
+                    .map(|(labels, h)| {
+                        let total = h.cumulative();
+                        SeriesSnapshot {
+                            labels: labels.clone(),
+                            value: HistogramWindows {
+                                count: total.count(),
+                                sum_us: total.sum_us(),
+                                windows: WINDOWS_S
+                                    .iter()
+                                    .map(|&w| WindowQuantiles {
+                                        window_s: w,
+                                        count: h.window_count(now_s, w),
+                                        p50_us: h.window_quantile_us(now_s, w, 0.50),
+                                        p95_us: h.window_quantile_us(now_s, w, 0.95),
+                                        p99_us: h.window_quantile_us(now_s, w, 0.99),
+                                    })
+                                    .collect(),
+                            },
+                        }
                     })
                     .collect(),
             })
@@ -840,38 +998,86 @@ mod tests {
             assert!(b >= prev, "bin index must be monotone in value");
             assert!(b < HIST_BINS);
             prev = b;
-            if us >= 1 {
-                let upper = hist_bin_upper_us(b);
-                assert!(upper >= us as f64, "{us} above its bin edge {upper}");
-                assert!(
-                    upper <= us as f64 * 1.25 + 1.0,
-                    "{us} bin edge {upper} too loose"
-                );
+            let upper = hist_bin_upper_us(b);
+            assert!(upper >= us as f64, "{us} above its bin edge {upper}");
+            assert!(
+                upper <= us as f64 * 1.25 + 1.0,
+                "{us} bin edge {upper} too loose"
+            );
+            if us.is_power_of_two() {
+                assert_eq!(upper, us as f64, "bins are closed on the upper edge");
             }
         }
         assert_eq!(hist_bin(u64::MAX), HIST_BINS - 1);
     }
 
     #[test]
+    fn histogram_tracks_count_sum_max_and_quantiles() {
+        let mut h = Histogram::new();
+        assert_eq!(h.quantile_us(0.5), 0.0);
+        assert_eq!(h.mean_us(), 0.0);
+        for ms in 1..=100u64 {
+            h.record(Duration::from_millis(ms));
+        }
+        assert_eq!(h.count(), 100);
+        assert!((h.mean_us() - 50_500.0).abs() < 1e-6);
+        assert_eq!(h.max_us(), 100_000.0);
+        assert_eq!(h.quantile_us(1.0), 100_000.0, "p100 is the exact max");
+        let p50 = h.quantile_us(0.50);
+        let p99 = h.quantile_us(0.99);
+        assert!((50_000.0..=62_500.0).contains(&p50), "p50 {p50}");
+        assert!((99_000.0..=100_000.0).contains(&p99), "p99 {p99}");
+        // The sum comes from the Duration, not from truncated µs.
+        let mut fine = Histogram::new();
+        fine.record(Duration::from_nanos(1_500));
+        fine.record(Duration::from_nanos(2_700));
+        assert!((fine.sum_us() - 4.2).abs() < 1e-9);
+        // Past the finite range only the exact max bounds the rank.
+        let mut slow = Histogram::new();
+        slow.record(Duration::from_secs(100));
+        assert_eq!(slow.quantile_us(0.99), 100e6);
+    }
+
+    #[test]
+    fn histogram_merge_is_exact() {
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        a.record(Duration::from_millis(10));
+        b.record(Duration::from_millis(20));
+        b.record(Duration::from_millis(30));
+        a.merge(&b);
+        assert_eq!(a.count(), 3);
+        assert!((a.mean_us() - 20_000.0).abs() < 1e-6);
+        assert_eq!(a.quantile_us(1.0), 30_000.0);
+        assert_eq!(a.le_buckets(), {
+            let mut all = Histogram::new();
+            for ms in [10, 20, 30] {
+                all.record(Duration::from_millis(ms));
+            }
+            all.le_buckets()
+        });
+    }
+
+    #[test]
     fn hist_window_quantiles_track_known_data() {
         let h = WindowHistogram::new();
         for us in 1..=100u64 {
-            h.record_us(0, us * 1000);
+            h.record(0, Duration::from_micros(us * 1000));
         }
         let p50 = h.window_quantile_us(0, 10, 0.50);
         let p99 = h.window_quantile_us(0, 10, 0.99);
         assert!((50_000.0..=62_500.0).contains(&p50), "p50 {p50}");
         assert!((99_000.0..=123_750.0).contains(&p99), "p99 {p99}");
         assert_eq!(h.window_count(0, 10), 100);
-        assert_eq!(h.count(), 100);
+        assert_eq!(h.cumulative().count(), 100);
     }
 
     #[test]
     fn hist_window_rotation_drops_old_slots() {
         let h = WindowHistogram::new();
-        h.record_us(0, 1_000); // slot idx 0
-        h.record_us(30, 1_000_000); // slot idx 6
-                                    // 10s window at t=30 covers slot indices 5..=6 only.
+        h.record(0, Duration::from_millis(1)); // slot idx 0
+        h.record(30, Duration::from_secs(1)); // slot idx 6
+                                              // The 10s window at t=30 covers slot indices 5..=6 only.
         assert_eq!(h.window_count(30, 10), 1);
         let p50 = h.window_quantile_us(30, 10, 0.50);
         assert!(p50 >= 1_000_000.0, "only the slow sample remains: {p50}");
@@ -885,11 +1091,11 @@ mod tests {
     #[test]
     fn hist_ring_reuses_slots_after_wrap() {
         let h = WindowHistogram::new();
-        h.record_us(0, 100);
+        h.record(0, Duration::from_micros(100));
         // 60 slots × 5s later the same physical slot recurs.
-        h.record_us(300, 200);
+        h.record(300, Duration::from_micros(200));
         assert_eq!(h.window_count(300, 300), 1, "t=0 rotated out");
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.cumulative().count(), 2);
     }
 
     #[test]
@@ -944,7 +1150,8 @@ mod tests {
         let hub = TelemetryHub::new();
         let l = Labels::new().with("model", "m");
         hub.counter(families::REQUESTS, &l).add(2, 5.0);
-        hub.histogram(families::E2E_US, &l).record_us(2, 900);
+        hub.histogram(families::E2E_US, &l)
+            .record(2, Duration::from_micros(900));
         hub.gauge("depth", &Labels::new()).set(3.0);
         let snap = hub.snapshot(2);
         let c = snap.counter(families::REQUESTS, &l).unwrap();

@@ -1,6 +1,9 @@
-//! Property tests for the windowed core: sliding quantiles against
-//! exact nearest-rank quantiles of the same sample stream across bucket
-//! rotations, and window sums against the exact filtered sum.
+//! Property tests for the windowed core: sliding and cumulative
+//! quantiles against exact nearest-rank quantiles of the same sample
+//! stream across bucket rotations, and window sums against the exact
+//! filtered sum.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 use snn_telemetry::{WindowCounter, WindowHistogram};
@@ -30,7 +33,9 @@ proptest! {
     /// Windowed p50/p99 must bracket the exact nearest-rank quantile of
     /// the samples the window covers: at least the exact value, at most
     /// one log-linear bin above it (≤ 25 % + 1 µs), across arbitrary
-    /// slot rotations including ring wrap-around.
+    /// slot rotations including ring wrap-around. The cumulative view
+    /// obeys the same bound over every sample, and its p100 is the exact
+    /// max.
     #[test]
     fn windowed_quantiles_match_exact_within_bin_tolerance(
         mut samples in proptest::collection::vec((0u64..600, 1u64..2_000_000), 1..200),
@@ -41,7 +46,24 @@ proptest! {
         samples.sort();
         let h = WindowHistogram::new();
         for &(t, us) in &samples {
-            h.record_us(t, us);
+            h.record(t, Duration::from_micros(us));
+        }
+        let cumulative = h.cumulative();
+        let mut all: Vec<u64> = samples.iter().map(|&(_, us)| us).collect();
+        all.sort_unstable();
+        prop_assert_eq!(cumulative.count(), all.len() as u64);
+        prop_assert_eq!(cumulative.quantile_us(1.0), exact_quantile(&all, 1.0));
+        for q in [0.50, 0.99] {
+            let exact = exact_quantile(&all, q);
+            let quantile = cumulative.quantile_us(q);
+            prop_assert!(
+                quantile >= exact,
+                "q{q}: cumulative {quantile} below exact {exact}"
+            );
+            prop_assert!(
+                quantile <= exact * 1.25 + 1.0,
+                "q{q}: cumulative {quantile} beyond bin tolerance of exact {exact}"
+            );
         }
         let now = 600u64;
         let mut covered: Vec<u64> = samples

@@ -45,7 +45,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Spans buffered per thread before an eager flush into the ring (a drain
@@ -374,17 +374,18 @@ impl TraceCollector {
         let shard = self.shard_for_current_thread();
         record.track = shard.track;
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let overflow = {
+        let full = {
             let mut buf = shard.buf.lock().expect("trace shard poisoned");
             buf.push(record);
-            if buf.len() >= SHARD_FLUSH_THRESHOLD {
-                std::mem::take(&mut *buf)
-            } else {
-                Vec::new()
-            }
+            buf.len() >= SHARD_FLUSH_THRESHOLD
         };
-        if !overflow.is_empty() {
-            self.flush_to_ring(overflow);
+        if full {
+            // Ring before shard, the order `drain_shards` locks them in:
+            // spans move under the ring lock, so a concurrent query never
+            // misses spans taken from a shard but not yet in the ring.
+            let mut ring = self.ring.lock().expect("trace ring poisoned");
+            let taken = std::mem::take(&mut *shard.buf.lock().expect("trace shard poisoned"));
+            self.push_to_ring(&mut ring, taken);
         }
     }
 
@@ -420,8 +421,7 @@ impl TraceCollector {
 
     /// Moves finished spans into the bounded ring, evicting (and
     /// counting) the oldest on overflow.
-    fn flush_to_ring(&self, records: Vec<SpanSnapshot>) {
-        let mut ring = self.ring.lock().expect("trace ring poisoned");
+    fn push_to_ring(&self, ring: &mut VecDeque<SpanSnapshot>, records: Vec<SpanSnapshot>) {
         for record in records {
             if ring.len() >= self.capacity {
                 ring.pop_front();
@@ -431,9 +431,10 @@ impl TraceCollector {
         }
     }
 
-    /// Drains every thread's shard into the ring (queries call this so a
-    /// span recorded before the query is always visible).
-    fn drain_shards(&self) {
+    /// Drains every thread's shard into the ring and returns the ring
+    /// still locked (queries call this so a span recorded before the
+    /// query is always visible, even while other threads drain).
+    fn drain_shards(&self) -> MutexGuard<'_, VecDeque<SpanSnapshot>> {
         let shards: Vec<Arc<ThreadShard>> = self
             .shards
             .lock()
@@ -441,19 +442,18 @@ impl TraceCollector {
             .iter()
             .map(Arc::clone)
             .collect();
+        let mut ring = self.ring.lock().expect("trace ring poisoned");
         for shard in shards {
             let taken = std::mem::take(&mut *shard.buf.lock().expect("trace shard poisoned"));
-            if !taken.is_empty() {
-                self.flush_to_ring(taken);
-            }
+            self.push_to_ring(&mut ring, taken);
         }
+        ring
     }
 
     /// Every retained span of `trace`, sorted by start time then id;
     /// empty when the trace is unknown (or evicted).
     pub fn trace(&self, trace: TraceId) -> Vec<SpanSnapshot> {
-        self.drain_shards();
-        let ring = self.ring.lock().expect("trace ring poisoned");
+        let ring = self.drain_shards();
         let mut spans: Vec<SpanSnapshot> =
             ring.iter().filter(|s| s.trace == trace).cloned().collect();
         spans.sort_by_key(|s| (s.start_us, s.span_id));
@@ -462,8 +462,7 @@ impl TraceCollector {
 
     /// Every retained span, sorted by start time then id.
     pub fn snapshot(&self) -> Vec<SpanSnapshot> {
-        self.drain_shards();
-        let ring = self.ring.lock().expect("trace ring poisoned");
+        let ring = self.drain_shards();
         let mut spans: Vec<SpanSnapshot> = ring.iter().cloned().collect();
         spans.sort_by_key(|s| (s.start_us, s.span_id));
         spans
@@ -483,8 +482,7 @@ impl TraceCollector {
     /// [`capacity`](Self::capacity)). Drains the per-thread shards first
     /// so the figure reflects everything recorded so far.
     pub fn ring_len(&self) -> usize {
-        self.drain_shards();
-        self.ring.lock().expect("trace ring poisoned").len()
+        self.drain_shards().len()
     }
 
     /// Recording-thread tracks as `(track, thread name)` pairs, ascending
@@ -501,8 +499,7 @@ impl TraceCollector {
     /// Discards every retained span and resets the recorded/dropped
     /// counters (tracks persist — threads keep their shards).
     pub fn clear(&self) {
-        self.drain_shards();
-        self.ring.lock().expect("trace ring poisoned").clear();
+        self.drain_shards().clear();
         self.recorded.store(0, Ordering::Relaxed);
         self.dropped.store(0, Ordering::Relaxed);
     }

@@ -3,8 +3,8 @@
 //! simulator and the analytic `reference_forward` must produce the same
 //! logits — `CsrEngine == EventSnn` bit-for-bit (same accumulation
 //! discipline), and both equal to `reference_forward` within 1e-4. The
-//! streaming front-end must preserve that guarantee under arbitrary
-//! arrival order, arrival timing and batcher configuration.
+//! streaming server must preserve that guarantee under arbitrary
+//! arrival order, arrival timing, worker count and batcher configuration.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,12 +19,19 @@ use ttfs_snn::nn::{
     Sequential,
 };
 use ttfs_snn::runtime::{
-    quantize_model, CsrEngine, InferenceBackend, InferenceServer, QuantConfig, QuantEngine,
-    ServerConfig, StreamingConfig, StreamingServer, SubmitOptions, Ticket,
+    quantize_model, CsrEngine, InferenceBackend, QuantConfig, QuantEngine, StreamingConfig,
+    StreamingServer, SubmitOptions, Ticket,
 };
 use ttfs_snn::sim::EventSnn;
 use ttfs_snn::tensor::{Conv2dSpec, Tensor};
 use ttfs_snn::ttfs::{convert, Base2Kernel, SnnModel};
+
+/// Row `i` of a `[N, …sample_dims]` batch as one `[…sample_dims]` sample.
+fn sample(x: &Tensor, i: usize) -> Tensor {
+    let dims = &x.dims()[1..];
+    let len: usize = dims.iter().product();
+    Tensor::from_vec(x.as_slice()[i * len..(i + 1) * len].to_vec(), dims).expect("sample")
+}
 
 /// Asserts `EventSnn == CsrEngine` bit-for-bit (logits AND event
 /// statistics) at the engine's default chunk width, at one lane (the
@@ -195,13 +202,15 @@ proptest! {
         }
     }
 
-    /// The worker-pool server returns the same logits as any single-thread
-    /// backend run, for every thread/chunk configuration.
+    /// The streaming server answers every ticket with its own request's
+    /// row of a single-thread reference run, bit for bit, for every
+    /// worker count and batch bound — however the batcher groups the
+    /// requests and the workers reorder the batches.
     #[test]
     fn server_is_order_preserving(
         seed in 0u64..64,
         threads in 1usize..5,
-        chunk in 1usize..6,
+        max_batch in 1usize..6,
         xs in proptest::collection::vec(0.0f32..1.0, 9 * 8),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -214,17 +223,25 @@ proptest! {
         let model = convert(&net, Base2Kernel::paper_default(), 24).expect("conversion");
         let x = Tensor::from_vec(xs, &[9, 1, 2, 4]).expect("sized");
         let single = EventSnn::new(&model).run(&x).expect("single").0;
-        let server = InferenceServer::new(
+        let server = StreamingServer::new(
             Arc::new(CsrEngine::compile(&model, &[1, 2, 4]).expect("compile")),
-            ServerConfig { threads, chunk_size: chunk },
+            StreamingConfig {
+                threads,
+                max_batch,
+                max_delay: Duration::from_millis(1),
+                ..StreamingConfig::default()
+            },
         );
-        let report = server.run(&x).expect("pooled run");
-        prop_assert_eq!(report.logits.as_slice(), single.as_slice());
-        prop_assert_eq!(report.stats.batch, 9);
-        prop_assert_eq!(
-            report.metrics.requests as usize,
-            9usize.div_ceil(chunk)
-        );
+        let tickets: Vec<Ticket> = (0..9)
+            .map(|i| server.submit(&sample(&x, i)).expect("submit"))
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let row = ticket.wait().expect("streamed result").logits;
+            prop_assert_eq!(row.as_slice(), &single.as_slice()[i * 3..(i + 1) * 3]);
+        }
+        let metrics = server.shutdown();
+        prop_assert_eq!(metrics.requests, 9);
+        prop_assert!(metrics.max_batch_occupancy as usize <= max_batch);
     }
 }
 
@@ -233,7 +250,7 @@ proptest! {
     // submissions to randomize how arrivals land in batching windows.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Streamed logits are bit-identical to the closed-batch server's on
+    /// Streamed logits are bit-identical to one closed `run_batch` over
     /// the same images, for every arrival order, inter-arrival gap, thread
     /// count, batcher configuration AND per-request scheduling options —
     /// EDF may flush windows early and reorder batch assembly by
@@ -263,19 +280,14 @@ proptest! {
         let n = 10usize;
         let x = Tensor::from_vec(xs, &[n, 1, 2, 4]).expect("sized");
 
-        // Closed-batch ground truth through the batched server.
-        let closed = InferenceServer::new(
-            Arc::new(CsrEngine::compile(&model, &[1, 2, 4]).expect("compile")),
-            ServerConfig { threads: 2, chunk_size: 4 },
-        )
-        .run(&x)
-        .expect("closed run")
-        .logits;
+        // Closed-batch ground truth: the whole batch in one engine call.
+        let engine = CsrEngine::compile(&model, &[1, 2, 4]).expect("compile");
+        let closed = engine.run_batch(&x).expect("closed run").0;
 
         // Stream the same images one at a time, in a random order, with
         // random inter-arrival gaps.
         let server = StreamingServer::new(
-            Arc::new(CsrEngine::compile(&model, &[1, 2, 4]).expect("compile")),
+            Arc::new(engine),
             StreamingConfig {
                 threads,
                 max_batch,
@@ -286,14 +298,9 @@ proptest! {
         );
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut rng);
-        let sample_len = 8usize;
         let mut tickets: Vec<(usize, Ticket)> = Vec::with_capacity(n);
         for &i in &order {
-            let image = Tensor::from_vec(
-                x.as_slice()[i * sample_len..(i + 1) * sample_len].to_vec(),
-                &[1, 2, 4],
-            )
-            .expect("sample");
+            let image = sample(&x, i);
             // Random per-request scheduling: some requests inherit the
             // server default (None), others carry their own EDF deadline
             // and priority.
@@ -357,14 +364,20 @@ fn all_zero_input_equivalence() {
         "pure bias propagation"
     );
 
-    // And through the server.
-    let server = InferenceServer::new(
+    // And through the streaming server.
+    let server = StreamingServer::new(
         Arc::new(csr),
-        ServerConfig {
+        StreamingConfig {
             threads: 2,
-            chunk_size: 1,
+            max_batch: 2,
+            ..StreamingConfig::default()
         },
     );
-    let report = server.run(&x).unwrap();
-    assert_eq!(report.logits.as_slice(), csr_logits.as_slice());
+    let tickets: Vec<Ticket> = (0..3)
+        .map(|i| server.submit(&sample(&x, i)).unwrap())
+        .collect();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let row = ticket.wait().unwrap().logits;
+        assert_eq!(row.as_slice(), &csr_logits.as_slice()[i * 4..(i + 1) * 4]);
+    }
 }
