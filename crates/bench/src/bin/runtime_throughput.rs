@@ -36,7 +36,8 @@
 //! `-- --trace-out trace.json` to export the fully-traced streaming run as
 //! Chrome trace-event JSON (load it at `chrome://tracing` or in Perfetto).
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -1632,24 +1633,48 @@ fn registry_smoke(clients: usize, passes: usize, seed: u64) -> RegistryResult {
     );
 
     // Swap under load: the closed loop accepts a 200 iff it bit-matches
-    // v2 (pre-swap) or v1 (post-swap); the swap fires mid-run.
+    // v2 (pre-swap) or v1 (post-swap). Progress, not the wall clock, puts
+    // the swap mid-run: the loader runs closed-loop rounds back to back,
+    // the swap fires once the first round is done, and the loader stops
+    // after the first round that began after the swap returned — so both
+    // versions are observed however fast the stack serves.
+    let swapped = Arc::new(AtomicBool::new(false));
+    let (first_round_tx, first_round_rx) = mpsc::channel::<()>();
     let loader = {
         let (xa, e1, e2) = (xa.clone(), e1.clone(), e2.clone());
+        let swapped = Arc::clone(&swapped);
         let config = LoadGenConfig {
             clients,
-            passes: passes * 2,
+            passes,
             seed: seed ^ 0x5AB,
             path: "/v1/models/alpha/infer".into(),
             ..LoadGenConfig::default()
         };
-        std::thread::spawn(move || run_closed_loop_any(addr, &xa, &[&e2, &e1], &config))
+        std::thread::spawn(move || {
+            let mut total: Option<LoadReport> = None;
+            loop {
+                let after_swap = swapped.load(Ordering::Acquire);
+                let round = run_closed_loop_any(addr, &xa, &[&e2, &e1], &config);
+                total = Some(match total {
+                    None => {
+                        let _ = first_round_tx.send(());
+                        round
+                    }
+                    Some(total) => merge_load_reports(total, &round),
+                });
+                if after_swap {
+                    return total.expect("at least one round ran");
+                }
+            }
+        })
     };
-    std::thread::sleep(Duration::from_millis(50));
+    first_round_rx.recv().expect("swap loader's first round");
     let mut swap_client = HttpClient::connect(addr).expect("swap client");
     let swap_response = swap_client
         .post_json("/v1/models/alpha/swap", "{\"version\":\"1\"}")
         .expect("swap request");
     assert_eq!(swap_response.status, 200, "swap must succeed");
+    swapped.store(true, Ordering::Release);
     let swap_load = loader.join().expect("swap load generator");
 
     let metrics = registry.metrics();
@@ -1684,6 +1709,32 @@ fn registry_smoke(clients: usize, passes: usize, seed: u64) -> RegistryResult {
         swap,
         metrics,
     }
+}
+
+/// Folds one closed-loop round into a running total: counts add, the
+/// latency mean is request-weighted, and p50/p99 keep the worst round's
+/// value (an upper bound on the merged percentile).
+fn merge_load_reports(mut total: LoadReport, round: &LoadReport) -> LoadReport {
+    let (n0, n1) = (total.requests as f64, round.requests as f64);
+    if n0 + n1 > 0.0 {
+        total.latency_mean_us =
+            (total.latency_mean_us * n0 + round.latency_mean_us * n1) / (n0 + n1);
+    }
+    total.requests += round.requests;
+    total.ok_200 += round.ok_200;
+    total.shed_429 += round.shed_429;
+    total.unavailable_503 += round.unavailable_503;
+    total.other_status += round.other_status;
+    total.transport_errors += round.transport_errors;
+    total.mismatches += round.mismatches;
+    for (sum, count) in total.ok_per_expected.iter_mut().zip(&round.ok_per_expected) {
+        *sum += count;
+    }
+    total.wall_ms += round.wall_ms;
+    total.requests_per_sec = total.requests as f64 / (total.wall_ms / 1e3).max(1e-9);
+    total.latency_p50_us = total.latency_p50_us.max(round.latency_p50_us);
+    total.latency_p99_us = total.latency_p99_us.max(round.latency_p99_us);
+    total
 }
 
 /// Field-wise sum of two fired-counter snapshots (one armed segment

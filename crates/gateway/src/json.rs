@@ -39,11 +39,14 @@ pub struct InferRequest {
     pub dims: Vec<usize>,
     /// Flat row-major pixels; length must equal the product of `dims`.
     pub pixels: Vec<f32>,
-    /// Optional batching deadline in milliseconds (fractional allowed).
-    /// Omitted → the streaming server's configured `max_delay`.
+    /// Optional deadline in milliseconds (fractional allowed): the
+    /// request's EDF sort key — tighter deadlines are taken first when
+    /// requests queue — and its SLO deadline-miss bound. It never delays
+    /// the request. Omitted → the streaming server's configured
+    /// `max_delay`; the gateway clamps it to half its `handler_timeout`.
     pub deadline_ms: Option<f64>,
-    /// Optional EDF tie-break priority (0–255, default 0; higher sorts
-    /// earlier in the formed batch on equal deadlines).
+    /// Optional EDF tie-break priority (0–255, default 0; higher is taken
+    /// first on equal deadlines).
     pub priority: u8,
 }
 

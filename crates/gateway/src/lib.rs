@@ -5,7 +5,8 @@
 //! is fully offline) that fronts the runtime's
 //! [`StreamingServer`](snn_runtime::StreamingServer) and pushes each
 //! request's deadline from the wire all the way into the EDF
-//! [`DeadlineBatcher`](snn_runtime::DeadlineBatcher) flush policy.
+//! [`DeadlineBatcher`](snn_runtime::DeadlineBatcher) queue the server's
+//! workers take their batches from.
 //!
 //! * [`http`] — panic-free incremental request parser (`Content-Length`
 //!   bodies, keep-alive, pipelining; `400`/`413` on malformed or oversized

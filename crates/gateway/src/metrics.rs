@@ -337,12 +337,13 @@ pub fn prometheus_text(
         counter_family(&mut out, name, help, value);
     }
     out.push_str(
-        "# HELP snn_streaming_flushes_total Batch flushes by trigger\n# TYPE snn_streaming_flushes_total counter\n",
+        "# HELP snn_streaming_flushes_total Batches taken by workers, by reason\n# TYPE snn_streaming_flushes_total counter\n",
     );
     for (reason, value) in [
         ("edf_deadline", streaming.flushes_edf_deadline),
         ("max_batch", streaming.flushes_max_batch),
         ("drain", streaming.flushes_drain),
+        ("idle", streaming.flushes_idle),
     ] {
         out.push_str(&format!(
             "snn_streaming_flushes_total{{reason=\"{reason}\"}} {value}\n"
@@ -662,6 +663,7 @@ mod tests {
             "snn_streaming_flushes_total{reason=\"edf_deadline\"} 0",
             "snn_streaming_flushes_total{reason=\"max_batch\"} 0",
             "snn_streaming_flushes_total{reason=\"drain\"} 0",
+            "snn_streaming_flushes_total{reason=\"idle\"} 0",
             "snn_streaming_wait_timeouts_total 0",
             "snn_streaming_deadline_misses_total 0",
             "snn_streaming_e2e_seconds_count 0",

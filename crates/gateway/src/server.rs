@@ -16,7 +16,7 @@
 //!                    │  GET /metrics: Prometheus text (+ histograms)
 //!                    │  GET /v1/trace/<id>: span tree of a traced request
 //!                    ▼
-//!           StreamingServer (EDF DeadlineBatcher → engine)
+//!           StreamingServer (EDF queue → free worker → engine)
 //! ```
 //!
 //! When the wrapped server was built with a
@@ -27,8 +27,8 @@
 //! `x-snn-trace-id` header), records the gateway-side spans
 //! (`http.request` root, `http.parse`, `request.decode`, `infer.submit`,
 //! `ticket.wait`, `http.respond`), and threads the id through
-//! [`SubmitOptions`](snn_runtime::SubmitOptions) so the batcher, worker
-//! and engine spans land in the same tree. The response echoes the id,
+//! [`SubmitOptions`](snn_runtime::SubmitOptions) so the worker and
+//! engine spans land in the same tree. The response echoes the id,
 //! and `GET /v1/trace/<id>` serves the finished tree.
 //!
 //! Shutdown is a graceful drain: the acceptor stops, connection workers
@@ -88,9 +88,9 @@ pub struct GatewayConfig {
     /// Longest a handler waits on its [`Ticket`](snn_runtime::Ticket)
     /// before answering `504` (the batch still executes; the reply is
     /// discarded). Client-supplied `deadline_ms` values are clamped to
-    /// half this bound — an untrusted request must not park in the EDF
-    /// window longer than the gateway is willing to wait for it, and the
-    /// remaining half of the budget covers queueing and execution.
+    /// half this bound — an untrusted request's EDF sort key and miss
+    /// bound must not reach past the time the gateway is willing to wait
+    /// for it, and the remaining half of the budget covers execution.
     pub handler_timeout: Duration,
     /// Socket read timeout: how often an idle keep-alive connection checks
     /// for shutdown. Smaller drains faster; larger polls less.
@@ -1232,12 +1232,12 @@ fn run_infer(
         Err(msg) => return (route, 400, json, ErrorBody::render(msg)),
     };
     // Clamp untrusted deadlines to HALF the handler timeout: the handler
-    // gives up (504) at handler_timeout, so batching may consume at most
-    // half the budget, leaving the rest for queueing and execution. An
-    // unclamped deadline would park in the EDF window for a client-chosen
-    // duration, stalling every request sharing it (and, under tight
-    // max_pending, wedging admission) — and a clamp at the full timeout
-    // would race the 504 by design.
+    // gives up (504) at handler_timeout, so the deadline — the request's
+    // EDF sort key and its miss bound — may claim at most half the
+    // budget, leaving the rest for execution. An unclamped deadline would
+    // sort a request behind all default traffic for a client-chosen
+    // duration (under a sustained backlog it would wait that long), and a
+    // clamp at the full timeout would race the 504 by design.
     options.deadline = options.deadline.map(|d| d.min(shared.handler_timeout / 2));
     let pixels = wire.pixels.len();
     let image = match Tensor::from_vec(wire.pixels, &wire.dims) {

@@ -19,11 +19,16 @@ use serde::{field, Content};
 use snn_gateway::{client::HttpClient, run_closed_loop, Gateway, GatewayConfig, LoadGenConfig};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
-    BackendChoice, BrownoutConfig, FaultConfig, FaultInjector, StreamingConfig, StreamingServer,
+    BackendChoice, BrownoutConfig, FaultConfig, FaultInjector, InferenceBackend, StreamingConfig,
+    StreamingServer,
 };
 use snn_sim::EventSnn;
 use snn_trace::{TraceCollector, TraceId};
 use ttfs_core::{convert, Base2Kernel, SnnModel};
+
+#[path = "../../runtime/tests/support/gate.rs"]
+mod gate;
+use gate::GatedBackend;
 
 /// One armed injector per process: tests take this before touching it.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -203,14 +208,18 @@ fn seeded_chaos_storms_resolve_every_request_and_the_stack_survives() {
 /// parses it into the typed response.
 #[test]
 fn shed_429_carries_retry_after_and_the_client_parses_it() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let model = Arc::new(dense_model(7));
-    // One admission slot and a long batching window: the first request
-    // parks in the batcher holding the slot, so a concurrent request
+    // One admission slot and a gated backend: the first request is held
+    // inside the worker, still holding the slot, so a concurrent request
     // must shed on the wire.
-    let server = Arc::new(StreamingServer::new(
+    let gate = GatedBackend::new(
         BackendChoice::Csr
             .build(Arc::clone(&model), &DIMS)
             .expect("streaming stack"),
+    );
+    let server = Arc::new(StreamingServer::new(
+        Arc::clone(&gate) as Arc<dyn InferenceBackend>,
         StreamingConfig {
             threads: 1,
             max_batch: 64,
@@ -242,8 +251,8 @@ fn shed_429_carries_retry_after_and_the_client_parses_it() {
                 .expect("parker request")
         })
     };
-    // Let the parker occupy the slot, then collide with it.
-    std::thread::sleep(Duration::from_millis(50));
+    // The parker's batch is at the gate, holding the only slot.
+    gate.wait_entered(1);
     let mut client = HttpClient::connect(addr).expect("shed connect");
     let shed = client.post_json("/v1/infer", &body).expect("shed request");
     assert_eq!(shed.status, 429, "expected a wire-visible shed");
@@ -252,6 +261,7 @@ fn shed_429_carries_retry_after_and_the_client_parses_it() {
         Some(1),
         "429 must carry parseable retry advice"
     );
+    gate.open();
 
     let parked = parker.join().expect("parker thread");
     assert_eq!(parked.status, 200, "the slot holder is served");

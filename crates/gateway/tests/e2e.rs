@@ -1,5 +1,5 @@
 //! End-to-end serving guarantees through the full network stack:
-//! HTTP/1.1 wire → JSON codec → `SubmitOptions` → EDF `DeadlineBatcher` →
+//! HTTP/1.1 wire → JSON codec → `SubmitOptions` → EDF queue → worker →
 //! engine → JSON response.
 //!
 //! * **Equivalence property**: N concurrent HTTP clients with random
@@ -20,9 +20,14 @@ use snn_gateway::{
     client::HttpClient, run_closed_loop, Gateway, GatewayConfig, InferRequest, LoadGenConfig,
 };
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
+use snn_runtime::{BackendChoice, InferenceBackend, StreamingConfig, StreamingServer};
 use snn_sim::EventSnn;
+use snn_tensor::Tensor;
 use ttfs_core::{convert, Base2Kernel, SnnModel};
+
+#[path = "../../runtime/tests/support/gate.rs"]
+mod gate;
+use gate::GatedBackend;
 
 const DIMS: [usize; 3] = [1, 2, 4];
 const SAMPLE_LEN: usize = 8;
@@ -280,14 +285,15 @@ fn huge_client_deadline_is_clamped_to_handler_timeout() {
     server.shutdown();
 }
 
-/// A request whose deadline has the whole window to itself still resolves
-/// promptly when a tighter-deadline request lands behind it (EDF pulls the
-/// flush forward) — observed end to end through HTTP.
+/// A tight-deadline request that lands behind a relaxed one while the
+/// worker is busy overtakes it: the next free worker takes both in EDF
+/// order — observed end to end through HTTP.
 #[test]
-fn tight_deadline_pulls_a_relaxed_window_forward() {
+fn tight_deadline_overtakes_a_relaxed_request_over_http() {
     let model = Arc::new(dense_model(21));
+    let gate = GatedBackend::new(BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap());
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        Arc::clone(&gate) as Arc<dyn InferenceBackend>,
         StreamingConfig {
             threads: 1,
             max_batch: 64, // count flush unreachable
@@ -306,38 +312,43 @@ fn tight_deadline_pulls_a_relaxed_window_forward() {
     )
     .unwrap();
 
-    // Without EDF, the relaxed request would park for 30 s (its own
-    // deadline AND the server default are both far away) and this test
-    // would time out. The tight request must flush the shared window.
-    let relaxed = {
-        let mut r = InferRequest::new(DIMS.to_vec(), vec![0.3; SAMPLE_LEN]);
-        r.deadline_ms = Some(25_000.0);
-        serde_json::to_string(&r).unwrap()
+    // Hold the only worker, then queue the relaxed request and the tight
+    // one behind it, in that order.
+    let blocker = server.submit(&Tensor::full(&DIMS, 0.9)).unwrap();
+    gate.wait_entered(1);
+    let post = |deadline_ms: f64, value: f32, priority: u8| {
+        let mut r = InferRequest::new(DIMS.to_vec(), vec![value; SAMPLE_LEN]);
+        r.deadline_ms = Some(deadline_ms);
+        r.priority = priority;
+        let body = serde_json::to_string(&r).unwrap();
+        let addr = gateway.local_addr();
+        std::thread::spawn(move || {
+            let mut client = HttpClient::connect(addr).unwrap();
+            client.post_json("/v1/infer", &body).unwrap()
+        })
     };
-    let tight = {
-        let mut r = InferRequest::new(DIMS.to_vec(), vec![0.6; SAMPLE_LEN]);
-        r.deadline_ms = Some(1.0);
-        r.priority = 3;
-        serde_json::to_string(&r).unwrap()
+    let wait_queued = |n: usize| {
+        while server.pending() < n {
+            std::thread::yield_now();
+        }
     };
-    let addr = gateway.local_addr();
-    let relaxed_thread = std::thread::spawn(move || {
-        let mut client = HttpClient::connect(addr).unwrap();
-        client.post_json("/v1/infer", &relaxed).unwrap()
-    });
-    // Let the relaxed request reach the pending window first.
-    std::thread::sleep(Duration::from_millis(50));
-    let mut client = HttpClient::connect(addr).unwrap();
-    let tight_response = client.post_json("/v1/infer", &tight).unwrap();
+    let relaxed_thread = post(25_000.0, 0.3, 0);
+    wait_queued(2);
+    let tight_thread = post(1.0, 0.6, 3);
+    wait_queued(3);
+    gate.open();
+    blocker.wait().unwrap();
+    let tight_response = tight_thread.join().unwrap();
     let relaxed_response = relaxed_thread.join().unwrap();
     assert_eq!(tight_response.status, 200);
     assert_eq!(relaxed_response.status, 200);
     let streaming = server.metrics();
-    assert_eq!(streaming.requests, 2);
+    assert_eq!(streaming.requests, 3);
     assert_eq!(
         streaming.max_batch_occupancy, 2,
-        "both requests rode one EDF-flushed batch"
+        "both queued requests rode one batch"
     );
+    assert_eq!(gate.batches()[1], vec![0.6, 0.3], "tight first (EDF)");
     gateway.shutdown();
     server.shutdown();
 }

@@ -7,7 +7,8 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -240,54 +241,72 @@ fn hot_swap_under_load_serves_exactly_old_or_new_logits() {
     let (_, e2) = batch_and_expected(&v2, 8, 31);
     assert_ne!(e1.as_slice(), e2.as_slice());
 
+    // Progress, not the wall clock, puts the swap under load: the loader
+    // runs closed-loop rounds back to back, the swap fires once the first
+    // round is done, and the loader stops after the first round that began
+    // after the swap returned.
+    let swapped = Arc::new(AtomicBool::new(false));
+    let (first_round_tx, first_round_rx) = mpsc::channel::<()>();
     let loader = {
         let x = x.clone();
         let (e1, e2) = (e1.clone(), e2.clone());
+        let swapped = Arc::clone(&swapped);
         std::thread::spawn(move || {
-            run_closed_loop_any(
-                addr,
-                &x,
-                &[&e2, &e1], // index 0 = pre-swap (v2 is the default), 1 = post-swap
-                &LoadGenConfig {
-                    clients: 4,
-                    passes: 60,
-                    path: "/v1/models/alpha/infer".into(),
-                    ..LoadGenConfig::default()
-                },
-            )
+            // [requests, ok_200, transport_errors, mismatches, v2 hits, v1 hits]
+            let mut totals = [0u64; 6];
+            loop {
+                let after_swap = swapped.load(Ordering::Acquire);
+                let report = run_closed_loop_any(
+                    addr,
+                    &x,
+                    &[&e2, &e1], // index 0 = pre-swap (v2 is the default), 1 = post-swap
+                    &LoadGenConfig {
+                        clients: 4,
+                        passes: 10,
+                        path: "/v1/models/alpha/infer".into(),
+                        ..LoadGenConfig::default()
+                    },
+                );
+                for (sum, value) in totals.iter_mut().zip([
+                    report.requests,
+                    report.ok_200,
+                    report.transport_errors,
+                    report.mismatches,
+                    report.ok_per_expected[0],
+                    report.ok_per_expected[1],
+                ]) {
+                    *sum += value;
+                }
+                let _ = first_round_tx.send(());
+                if after_swap {
+                    return totals;
+                }
+            }
         })
     };
 
-    // Swap to v1 while the closed loop is running.
-    std::thread::sleep(Duration::from_millis(60));
+    first_round_rx.recv().unwrap();
     let mut client = HttpClient::connect(addr).unwrap();
-    let swapped = client
+    let swapped_response = client
         .post_json("/v1/models/alpha/swap", r#"{"version":"1"}"#)
         .unwrap();
-    assert_eq!(swapped.status, 200);
-    let report_text = String::from_utf8(swapped.body).unwrap();
+    assert_eq!(swapped_response.status, 200);
+    let report_text = String::from_utf8(swapped_response.body).unwrap();
     assert!(report_text.contains("\"to\":\"1\""), "{report_text}");
+    swapped.store(true, Ordering::Release);
 
-    let report = loader.join().unwrap();
-    assert_eq!(report.transport_errors, 0);
+    let [requests, ok_200, transport_errors, mismatches, saw_v2, saw_v1] = loader.join().unwrap();
+    assert_eq!(transport_errors, 0);
     assert_eq!(
-        report.ok_200, report.requests,
+        ok_200, requests,
         "no request may be dropped across the swap"
     );
     assert_eq!(
-        report.mismatches, 0,
+        mismatches, 0,
         "every 200 matches exactly one version's logits — never a blend"
     );
-    assert!(
-        report.ok_per_expected[0] > 0,
-        "pre-swap traffic observed v2: {:?}",
-        report.ok_per_expected
-    );
-    assert!(
-        report.ok_per_expected[1] > 0,
-        "post-swap traffic observed v1: {:?}",
-        report.ok_per_expected
-    );
+    assert!(saw_v2 > 0, "pre-swap traffic observed v2");
+    assert!(saw_v1 > 0, "post-swap traffic observed v1");
     assert_eq!(registry.metrics().swaps, 1);
 
     gateway.shutdown();

@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 pub use snn_trace::TraceId;
@@ -392,17 +392,18 @@ impl LogCollector {
     /// into the ring past the threshold.
     fn push_record(&self, event: LogEvent) {
         let shard = self.shard_for_current_thread();
-        let overflow = {
+        let full = {
             let mut buf = shard.buf.lock().unwrap_or_else(|e| e.into_inner());
             buf.push(event);
-            if buf.len() >= SHARD_FLUSH_THRESHOLD {
-                std::mem::take(&mut *buf)
-            } else {
-                Vec::new()
-            }
+            buf.len() >= SHARD_FLUSH_THRESHOLD
         };
-        if !overflow.is_empty() {
-            self.flush_to_ring(overflow);
+        if full {
+            // Ring before shard, the order `drain_shards` locks them in:
+            // events move under the ring lock, so a concurrent query never
+            // misses events taken from a shard but not yet in the ring.
+            let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+            let taken = std::mem::take(&mut *shard.buf.lock().unwrap_or_else(|e| e.into_inner()));
+            self.push_to_ring(&mut ring, taken);
         }
     }
 
@@ -432,8 +433,7 @@ impl LogCollector {
 
     /// Moves events into the bounded ring, evicting (and counting) the
     /// oldest on overflow.
-    fn flush_to_ring(&self, events: Vec<LogEvent>) {
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+    fn push_to_ring(&self, ring: &mut VecDeque<LogEvent>, events: Vec<LogEvent>) {
         for event in events {
             if ring.len() >= self.capacity {
                 ring.pop_front();
@@ -443,9 +443,10 @@ impl LogCollector {
         }
     }
 
-    /// Drains every thread's shard into the ring (queries call this so
-    /// an event recorded before the query is always visible).
-    fn drain_shards(&self) {
+    /// Drains every thread's shard into the ring and returns the ring
+    /// still locked (queries call this so an event recorded before the
+    /// query is always visible, even while other threads flush).
+    fn drain_shards(&self) -> MutexGuard<'_, VecDeque<LogEvent>> {
         let shards: Vec<Arc<ThreadShard>> = self
             .shards
             .lock()
@@ -453,12 +454,12 @@ impl LogCollector {
             .iter()
             .map(Arc::clone)
             .collect();
+        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         for shard in shards {
             let taken = std::mem::take(&mut *shard.buf.lock().unwrap_or_else(|e| e.into_inner()));
-            if !taken.is_empty() {
-                self.flush_to_ring(taken);
-            }
+            self.push_to_ring(&mut ring, taken);
         }
+        ring
     }
 
     /// Every retained event, ascending by sequence number (oldest
@@ -475,8 +476,7 @@ impl LogCollector {
         min_level: Option<Level>,
         target_prefix: Option<&str>,
     ) -> Vec<LogEvent> {
-        self.drain_shards();
-        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        let ring = self.drain_shards();
         let mut events: Vec<LogEvent> = ring
             .iter()
             .filter(|e| min_level.is_none_or(|min| e.level >= min))
@@ -507,8 +507,7 @@ impl LogCollector {
     /// Events currently retained (drains the shards first so the figure
     /// reflects everything recorded so far).
     pub fn ring_len(&self) -> usize {
-        self.drain_shards();
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.drain_shards().len()
     }
 
     /// Attaches a JSON-lines sink; every subsequently recorded event
@@ -1593,5 +1592,62 @@ mod tests {
         let text = String::from_utf8(body).unwrap();
         assert!(text.contains("deliberate test panic"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_queries_see_every_event_recorded_before_them() {
+        // Writers publish how far they have recorded; a query that read
+        // those marks first must find every event up to them — none may
+        // be in transit between a shard and the ring.
+        const WRITERS: usize = 3;
+        const EVENTS: u64 = 6_000;
+        let log = Arc::new(LogCollector::new(1 << 16));
+        let recorded: Arc<Vec<AtomicU64>> =
+            Arc::new((0..WRITERS).map(|_| AtomicU64::new(0)).collect());
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (log, recorded) = (Arc::clone(&log), Arc::clone(&recorded));
+                std::thread::spawn(move || {
+                    for i in 1..=EVENTS {
+                        log.record(
+                            Level::Info,
+                            "test.stress",
+                            "",
+                            vec![("w", Value::U64(w as u64)), ("i", Value::U64(i))],
+                        );
+                        recorded[w].store(i, Ordering::Release);
+                    }
+                })
+            })
+            .collect();
+        let mut queries = 0u64;
+        loop {
+            let done = writers.iter().all(|h| h.is_finished());
+            let marks: Vec<u64> = recorded.iter().map(|r| r.load(Ordering::Acquire)).collect();
+            let mut seen = vec![0u64; WRITERS];
+            for event in log.recent_filtered(None, Some("test.stress")) {
+                let field = |key| match event.attrs.iter().find(|(k, _)| *k == key) {
+                    Some((_, Value::U64(v))) => *v,
+                    other => panic!("missing {key}: {other:?}"),
+                };
+                let (w, i) = (field("w") as usize, field("i"));
+                if i <= marks[w] {
+                    seen[w] += 1;
+                }
+            }
+            assert_eq!(
+                seen, marks,
+                "query {queries} missed events recorded before it"
+            );
+            queries += 1;
+            if done {
+                break;
+            }
+        }
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        assert_eq!(log.events_dropped(), 0);
+        assert_eq!(log.ring_len() as u64, WRITERS as u64 * EVENTS);
     }
 }

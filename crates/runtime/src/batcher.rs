@@ -1,24 +1,25 @@
-//! Adaptive deadline batching for the streaming front-end.
+//! The EDF dispatch queue for the streaming front-end.
 //!
-//! Requests arrive one at a time; the TTFS engine amortizes per-spike work
-//! best over batches. [`DeadlineBatcher`] is the flush policy that mediates
-//! between the two: admit requests into a pending window and flush when
-//! either the window holds [`max_batch`](DeadlineBatcher::new) requests or
-//! the **earliest admitted deadline** expires — whichever comes first
-//! (EDF: earliest-deadline-first). Every request carries its own deadline
-//! ([`SubmitOptions::deadline`], defaulting to the batcher's `max_delay`
-//! past its arrival), so a latency-tolerant client can donate batching
-//! slack while an urgent one bounds the whole window. Count flushes keep
-//! throughput high under load; deadline flushes bound the latency any
-//! admitted request can be held hostage for. Flushed batches are assembled
-//! in EDF order: ascending deadline, ties broken by descending
-//! [`SubmitOptions::priority`], then admission order.
+//! Requests arrive one at a time; the server's workers pull them out in
+//! batches. [`DeadlineBatcher`] is the queue between the two: admitted
+//! requests wait in it only while every worker is busy, and a worker that
+//! frees takes up to `max_batch` of them at once in EDF
+//! (earliest-deadline-first) order — ascending deadline, ties broken by
+//! descending [`SubmitOptions::priority`], then admission order. Every
+//! request carries its own deadline ([`SubmitOptions::deadline`],
+//! defaulting to the server's `max_delay` past its arrival). The deadline
+//! orders the queue and bounds the SLO deadline-miss count; it never holds
+//! a request back while a worker is idle. Batches still form under load,
+//! because a busy server accumulates a backlog that the next free worker
+//! takes whole.
 //!
-//! The policy is a pure state machine over caller-supplied [`Instant`]s
-//! (no threads, no clocks of its own), so it is deterministic and unit
-//! testable. The thread that drives it — and the [`Ticket`] handed to each
-//! submitter — live with [`crate::StreamingServer`] in the server module.
+//! The queue is a plain data structure (no threads, no clocks of its own),
+//! so it is deterministic and unit testable. The workers that drain it —
+//! and the [`Ticket`] handed to each submitter — live with
+//! [`crate::StreamingServer`] in the server module.
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -30,20 +31,27 @@ use ttfs_core::ConvertError;
 
 use crate::metrics::StreamingRecorder;
 
-/// Why the deadline batcher flushed a pending window. Recorded per batch
-/// in [`StreamingMetrics`](crate::StreamingMetrics) (the three
-/// `flushes_*` counters) and as the `reason` attribute of the
-/// `batch.flush` trace span — a deadline-pressured server (mostly
-/// [`EdfDeadline`](Self::EdfDeadline)) is operationally very different
-/// from a well-batched one (mostly [`MaxBatch`](Self::MaxBatch)) at the
-/// same throughput.
+/// Why a worker took the batch it took. Recorded per batch in
+/// [`StreamingMetrics`](crate::StreamingMetrics) (the four `flushes_*`
+/// counters) and as the `reason` attribute of the `batch.flush` trace
+/// span. An idle server takes mostly [`Idle`](Self::Idle) batches, a
+/// saturated one mostly [`MaxBatch`](Self::MaxBatch), and a server whose
+/// requests wait past their deadlines for a worker shows
+/// [`EdfDeadline`](Self::EdfDeadline) — operationally very different
+/// states at the same throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlushReason {
-    /// The window's earliest admitted deadline expired (EDF trigger).
+    /// A partial batch taken after its earliest deadline had passed: the
+    /// requests waited out their deadline for a free worker (the backlog
+    /// signal).
     EdfDeadline,
-    /// The window filled to `max_batch` requests.
+    /// A full batch of `max_batch` requests.
     MaxBatch,
-    /// Shutdown drained the window regardless of count or deadline.
+    /// A partial batch a free worker took before any rider's deadline
+    /// passed.
+    Idle,
+    /// A batch taken after shutdown began, regardless of count or
+    /// deadline.
     Drain,
 }
 
@@ -53,7 +61,29 @@ impl FlushReason {
         match self {
             Self::EdfDeadline => "edf_deadline",
             Self::MaxBatch => "max_batch",
+            Self::Idle => "idle",
             Self::Drain => "drain",
+        }
+    }
+
+    /// Classifies a batch of `len` requests a worker took at `now`, whose
+    /// earliest rider deadline is `earliest`, with `draining` set once
+    /// shutdown has begun.
+    pub(crate) fn classify(
+        len: usize,
+        max_batch: usize,
+        earliest: Instant,
+        now: Instant,
+        draining: bool,
+    ) -> Self {
+        if draining {
+            Self::Drain
+        } else if len >= max_batch {
+            Self::MaxBatch
+        } else if now > earliest {
+            Self::EdfDeadline
+        } else {
+            Self::Idle
         }
     }
 }
@@ -67,17 +97,18 @@ impl std::fmt::Display for FlushReason {
 /// Configuration for the [`crate::StreamingServer`].
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
-    /// Worker threads executing formed batches (0 = one per core).
+    /// Worker threads executing batches (0 = one per core). The server
+    /// starts exactly this many OS threads.
     pub threads: usize,
-    /// Flush a pending batch as soon as it holds this many requests
-    /// (0 = clamp to 1).
+    /// The most requests a worker takes into one batch (0 = clamp to 1).
     pub max_batch: usize,
-    /// Flush when the oldest pending request has waited this long.
-    /// `Duration::ZERO` degenerates to one batch per wakeup — lowest
-    /// latency, least amortization.
+    /// The default per-request deadline, counted from submission: the EDF
+    /// sort key and the SLO deadline-miss bound for requests that set no
+    /// [`SubmitOptions::deadline`]. It never delays a request while a
+    /// worker is free.
     pub max_delay: Duration,
-    /// Backpressure: the most admitted-but-unresolved requests (pending
-    /// window + worker queue + in flight) the server holds before
+    /// Backpressure: the most admitted-but-unresolved requests (queued
+    /// plus executing) the server holds before
     /// [`submit`](crate::StreamingServer::submit) starts returning
     /// [`SubmitError::QueueFull`]. `0` = unbounded (accept everything and
     /// let the queue grow — the pre-backpressure behavior).
@@ -194,17 +225,16 @@ impl From<ConvertError> for SubmitError {
 /// priority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOptions {
-    /// The most time this request may sit in the batcher's pending window
-    /// before the window is flushed — its *batching deadline*, counted from
-    /// submission. `None` inherits the server's configured `max_delay`. A
-    /// relaxed deadline donates batching slack; `Duration::ZERO` forces the
-    /// window to flush at the next batcher wakeup. The window always
-    /// flushes when its **earliest** admitted deadline expires (EDF), so a
-    /// tight deadline bounds every request that shares the window.
+    /// This request's deadline, counted from submission. `None` inherits
+    /// the server's configured `max_delay`. The deadline is the request's
+    /// EDF sort key — a tighter deadline is taken by an earlier worker
+    /// whenever requests queue — and the bound past which its start counts
+    /// as an SLO deadline miss. It never holds the request back: a free
+    /// worker takes it at once.
     pub deadline: Option<Duration>,
-    /// Assembly priority: on equal deadlines, higher-priority requests sort
-    /// earlier in the formed batch. Priority never delays a flush and never
-    /// evicts an admitted request; it only breaks EDF ordering ties.
+    /// EDF tie-break: on equal deadlines, higher-priority requests are
+    /// taken (and sorted within a batch) first. Priority never delays a
+    /// request and never evicts an admitted one.
     pub priority: u8,
     /// Where runtime-side spans for this request attach: the request's
     /// [`TraceId`](snn_trace::TraceId) plus the parent span id minted by
@@ -237,109 +267,65 @@ impl SubmitOptions {
     }
 }
 
-/// One admitted entry: the item plus its EDF scheduling key.
-#[derive(Debug)]
-struct Entry<T> {
-    deadline: Instant,
-    priority: u8,
-    item: T,
-}
-
-/// The adaptive flush policy: batch by count or by earliest deadline,
-/// whichever trips first (EDF).
+/// The EDF queue free workers take their batches from.
 ///
-/// Generic over the queued item so the policy can be exercised without
-/// spinning up a server. All methods take `now` explicitly; the batcher
-/// never reads the clock.
+/// Generic over the queued item so the ordering can be exercised without
+/// spinning up a server. It never reads the clock: deadlines are absolute
+/// instants supplied by the caller, and they only order the queue.
 #[derive(Debug)]
 pub struct DeadlineBatcher<T> {
-    pending: Vec<Entry<T>>,
-    max_batch: usize,
-    max_delay: Duration,
+    /// Keyed by the EDF order: ascending deadline, descending priority,
+    /// ascending admission number.
+    pending: BTreeMap<(Instant, Reverse<u8>, u64), T>,
+    admitted: u64,
+}
+
+impl<T> Default for DeadlineBatcher<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> DeadlineBatcher<T> {
-    /// Creates an empty batcher (`max_batch` is clamped to at least 1).
-    /// `max_delay` is the default per-item deadline used by
-    /// [`push`](Self::push).
-    pub fn new(max_batch: usize, max_delay: Duration) -> Self {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
         Self {
-            pending: Vec::new(),
-            max_batch: max_batch.max(1),
-            max_delay,
+            pending: BTreeMap::new(),
+            admitted: 0,
         }
     }
 
-    /// Pending (not yet flushed) requests.
+    /// Queued (not yet taken) items.
     pub fn len(&self) -> usize {
         self.pending.len()
     }
 
-    /// Whether nothing is pending.
+    /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
 
-    /// Admits one item arriving at `now` with the default deadline (`now +
-    /// max_delay`) and lowest priority; returns the formed batch if this
-    /// arrival filled it to `max_batch`.
-    pub fn push(&mut self, now: Instant, item: T) -> Option<Vec<T>> {
-        let deadline = now + self.max_delay;
-        self.push_with(item, deadline, 0)
+    /// Admits one item with an absolute deadline and a tie-break priority.
+    pub fn push_with(&mut self, item: T, deadline: Instant, priority: u8) {
+        self.pending
+            .insert((deadline, Reverse(priority), self.admitted), item);
+        self.admitted += 1;
     }
 
-    /// Admits one item with an explicit absolute deadline and priority;
-    /// returns the formed batch if this arrival filled it to `max_batch`.
-    ///
-    /// A deadline already in the past does not flush from `push_with`
-    /// itself (only the count threshold does); the caller's next
-    /// [`poll_expired`](Self::poll_expired) flushes it immediately.
-    pub fn push_with(&mut self, item: T, deadline: Instant, priority: u8) -> Option<Vec<T>> {
-        self.pending.push(Entry {
-            deadline,
-            priority,
-            item,
-        });
-        if self.pending.len() >= self.max_batch {
-            Some(self.take_all())
-        } else {
-            None
-        }
+    /// Takes up to `max_batch` items (clamped to at least 1) in EDF order:
+    /// ascending deadline, ties broken by descending priority, then
+    /// admission order. Empty when nothing is queued.
+    pub fn take(&mut self, max_batch: usize) -> Vec<T> {
+        let k = max_batch.max(1).min(self.pending.len());
+        (0..k)
+            .filter_map(|_| self.pending.pop_first())
+            .map(|(_, item)| item)
+            .collect()
     }
 
-    /// The instant the current pending window must flush — the **earliest**
-    /// admitted deadline; `None` when nothing is pending.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.pending.iter().map(|e| e.deadline).min()
-    }
-
-    /// Flushes the whole pending window if its earliest deadline is at or
-    /// before `now`; `None` if nothing is pending or every deadline is
-    /// still ahead.
-    pub fn poll_expired(&mut self, now: Instant) -> Option<Vec<T>> {
-        match self.deadline() {
-            Some(deadline) if now >= deadline => Some(self.take_all()),
-            _ => None,
-        }
-    }
-
-    /// Unconditionally drains everything pending in EDF order (the
-    /// shutdown path).
+    /// Takes everything queued, in EDF order.
     pub fn drain(&mut self) -> Vec<T> {
-        self.take_all()
-    }
-
-    /// Flushes the window in EDF order: ascending deadline, ties broken by
-    /// descending priority, then admission order (`pending` is in
-    /// admission order and `sort_by` is stable).
-    fn take_all(&mut self) -> Vec<T> {
-        let mut entries = std::mem::take(&mut self.pending);
-        entries.sort_by(|a, b| {
-            a.deadline
-                .cmp(&b.deadline)
-                .then(b.priority.cmp(&a.priority))
-        });
-        entries.into_iter().map(|e| e.item).collect()
+        self.take(self.pending.len())
     }
 }
 
@@ -459,7 +445,7 @@ fn dropped_error() -> ConvertError {
     )
 }
 
-/// One queued streaming request as it travels batcher → worker.
+/// One queued streaming request as it travels queue → worker.
 pub(crate) struct PendingRequest {
     /// Flat sample data (dims validated at submit).
     pub image: Vec<f32>,
@@ -467,24 +453,14 @@ pub(crate) struct PendingRequest {
     pub sample_dims: Vec<usize>,
     /// Submission instant (starts the end-to-end latency clock).
     pub enqueued: Instant,
-    /// Absolute batching deadline (`enqueued` + the request's or the
-    /// server's delay bound); the EDF flush trigger.
+    /// Absolute deadline (`enqueued` + the request's or the server's
+    /// delay bound): the EDF sort key and the deadline-miss bound.
     pub deadline: Instant,
-    /// EDF tie-break priority (higher sorts earlier on equal deadlines).
-    pub priority: u8,
     /// Trace attachment point for runtime-side spans, if the submitter
     /// asked for tracing ([`SubmitOptions::trace`]).
     pub trace: Option<TraceTarget>,
     /// Where the worker delivers the per-request slice of the batch result.
     pub reply: Sender<Result<StreamedResponse, ConvertError>>,
-}
-
-/// Control messages from submitters to the batcher thread.
-pub(crate) enum BatcherMsg {
-    /// A new request to admit into the pending window.
-    Request(PendingRequest),
-    /// Flush everything pending and exit (graceful shutdown).
-    Shutdown,
 }
 
 #[cfg(test)]
@@ -496,132 +472,124 @@ mod tests {
     }
 
     #[test]
-    fn count_flush_at_max_batch() {
+    fn take_caps_at_max_batch_and_leaves_the_rest_queued() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(3, Duration::from_millis(100));
-        assert!(b.push(at(base, 0), "a").is_none());
-        assert!(b.push(at(base, 1), "b").is_none());
-        let batch = b.push(at(base, 2), "c").expect("third fill flushes");
-        assert_eq!(batch, vec!["a", "b", "c"]);
-        assert!(b.is_empty());
-        assert_eq!(b.deadline(), None);
+        let mut q = DeadlineBatcher::new();
+        for (i, name) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+            q.push_with(name, at(base, i as u64), 0);
+        }
+        assert_eq!(q.take(2), vec!["a", "b"]);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.take(2), vec!["c", "d"]);
+        assert_eq!(q.take(2), vec!["e"], "a short queue yields a partial batch");
+        assert!(q.is_empty());
+        assert_eq!(q.take(2), Vec::<&str>::new());
     }
 
     #[test]
-    fn deadline_tracks_oldest_pending_request() {
+    fn take_zero_clamps_to_one() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_millis(5));
-        assert_eq!(b.deadline(), None);
-        b.push(at(base, 0), 1u32);
-        b.push(at(base, 3), 2u32);
-        // Deadline anchors to the FIRST arrival, not the latest.
-        assert_eq!(b.deadline(), Some(at(base, 5)));
-        assert!(b.poll_expired(at(base, 4)).is_none(), "not yet expired");
-        let batch = b
-            .poll_expired(at(base, 5))
-            .expect("expired exactly at deadline");
-        assert_eq!(batch, vec![1, 2]);
-        // The next window re-anchors to its own first arrival.
-        b.push(at(base, 9), 3u32);
-        assert_eq!(b.deadline(), Some(at(base, 14)));
+        let mut q = DeadlineBatcher::new();
+        q.push_with("x", base, 0);
+        q.push_with("y", base, 0);
+        assert_eq!(q.take(0), vec!["x"]);
     }
 
     #[test]
-    fn zero_delay_expires_immediately() {
+    fn drain_empties_in_edf_order() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(8, Duration::ZERO);
-        b.push(base, "only");
-        assert_eq!(b.poll_expired(base), Some(vec!["only"]));
+        let mut q = DeadlineBatcher::new();
+        q.push_with(1u32, at(base, 0), 0);
+        q.push_with(2u32, at(base, 1), 0);
+        q.push_with(3u32, at(base, 2), 0);
+        assert_eq!(q.drain(), vec![1, 2, 3]);
+        assert!(q.is_empty());
+        assert_eq!(q.drain(), Vec::<u32>::new());
     }
 
     #[test]
-    fn count_flush_wins_even_with_expired_deadline() {
-        // max_batch reached with zero remaining deadline: the count flush
-        // fires from push itself; nothing is double-flushed afterwards.
+    fn edf_earliest_deadline_is_taken_first_regardless_of_arrival_order() {
+        // A later arrival with a TIGHTER deadline jumps the queue — the
+        // EDF invariant.
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(2, Duration::ZERO);
-        assert!(b.push(base, 1u8).is_none());
-        let batch = b.push(base, 2u8).expect("count flush");
-        assert_eq!(batch, vec![1, 2]);
-        assert!(b.poll_expired(base).is_none(), "window already flushed");
-    }
-
-    #[test]
-    fn max_batch_zero_clamps_to_one() {
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(0, Duration::from_millis(1));
-        assert_eq!(b.push(base, "x"), Some(vec!["x"]));
-    }
-
-    #[test]
-    fn drain_empties_in_arrival_order() {
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_secs(1));
-        b.push(at(base, 0), 1u32);
-        b.push(at(base, 1), 2u32);
-        b.push(at(base, 2), 3u32);
-        assert_eq!(b.drain(), vec![1, 2, 3]);
-        assert!(b.is_empty());
-        assert_eq!(b.drain(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn edf_earliest_deadline_wins_regardless_of_arrival_order() {
-        // A later arrival with a TIGHTER deadline pulls the whole window's
-        // flush instant forward — the EDF invariant.
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_millis(100));
-        b.push_with("relaxed", at(base, 100), 0);
-        assert_eq!(b.deadline(), Some(at(base, 100)));
-        b.push_with("urgent", at(base, 5), 0);
-        assert_eq!(b.deadline(), Some(at(base, 5)), "earliest deadline rules");
-        assert!(b.poll_expired(at(base, 4)).is_none());
-        let batch = b.poll_expired(at(base, 5)).expect("urgent deadline trips");
-        // Batch assembly is EDF-ordered, not arrival-ordered.
-        assert_eq!(batch, vec!["urgent", "relaxed"]);
+        let mut q = DeadlineBatcher::new();
+        q.push_with("relaxed", at(base, 100), 0);
+        q.push_with("urgent", at(base, 5), 0);
+        assert_eq!(q.take(1), vec!["urgent"]);
+        assert_eq!(q.take(1), vec!["relaxed"]);
     }
 
     #[test]
     fn edf_priority_breaks_deadline_ties_then_admission_order() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_millis(1));
+        let mut q = DeadlineBatcher::new();
         let d = at(base, 10);
-        b.push_with("low-first", d, 0);
-        b.push_with("high", d, 7);
-        b.push_with("low-second", d, 0);
-        b.push_with("earlier", at(base, 3), 0);
-        let batch = b.poll_expired(at(base, 10)).expect("expired");
-        assert_eq!(batch, vec!["earlier", "high", "low-first", "low-second"]);
-    }
-
-    #[test]
-    fn edf_relaxed_deadline_outlives_default_window() {
-        // A request that donates slack beyond max_delay must not flush at
-        // the default window; it flushes at its own deadline.
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_millis(5));
-        b.push_with("patient", at(base, 50), 0);
-        assert!(b.poll_expired(at(base, 6)).is_none(), "outlives max_delay");
-        assert_eq!(b.poll_expired(at(base, 50)), Some(vec!["patient"]));
-    }
-
-    #[test]
-    fn edf_past_deadline_flushes_on_next_poll_not_on_push() {
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_secs(1));
-        assert!(
-            b.push_with("late", base, 0).is_none(),
-            "push never EDF-flushes"
+        q.push_with("low-first", d, 0);
+        q.push_with("high", d, 7);
+        q.push_with("low-second", d, 0);
+        q.push_with("earlier", at(base, 3), 0);
+        assert_eq!(
+            q.take(8),
+            vec!["earlier", "high", "low-first", "low-second"]
         );
-        assert_eq!(b.poll_expired(base), Some(vec!["late"]));
     }
 
     #[test]
-    fn edf_count_flush_still_wins_at_max_batch() {
+    fn edf_order_holds_across_successive_takes() {
+        // Interleaved pushes and takes: every take returns the EDF-least
+        // items still queued, and the concatenated output is sorted.
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(2, Duration::from_secs(1));
-        assert!(b.push_with("a", at(base, 500), 0).is_none());
-        let batch = b.push_with("b", at(base, 900), 3).expect("count flush");
-        assert_eq!(batch, vec!["a", "b"], "EDF order inside the count flush");
+        let mut q = DeadlineBatcher::new();
+        let mut taken = Vec::new();
+        for (i, &ms) in [40u64, 10, 30, 10, 50, 20, 0, 60, 5].iter().enumerate() {
+            q.push_with((ms, i), at(base, ms), 0);
+            if i % 3 == 2 {
+                let batch = q.take(2);
+                assert!(batch.windows(2).all(|w| w[0] <= w[1]), "{batch:?}");
+                taken.extend(batch);
+            }
+        }
+        taken.extend(q.drain());
+        assert_eq!(taken.len(), 9, "every item taken exactly once");
+        let mut ids: Vec<usize> = taken.iter().map(|&(_, i)| i).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn past_deadlines_are_just_the_front_of_the_queue() {
+        // Nothing in the queue fires on its own: an expired deadline only
+        // sorts first.
+        let base = Instant::now();
+        let mut q = DeadlineBatcher::new();
+        q.push_with("future", at(base, 1_000), 0);
+        q.push_with("late", base, 0);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.take(8), vec!["late", "future"]);
+    }
+
+    #[test]
+    fn flush_reason_classification() {
+        let base = Instant::now();
+        let later = at(base, 1);
+        assert_eq!(
+            FlushReason::classify(4, 4, later, base, false),
+            FlushReason::MaxBatch
+        );
+        assert_eq!(
+            FlushReason::classify(1, 4, later, base, false),
+            FlushReason::Idle,
+            "partial batch before its earliest deadline"
+        );
+        assert_eq!(
+            FlushReason::classify(1, 4, base, later, false),
+            FlushReason::EdfDeadline,
+            "partial batch after its earliest deadline passed"
+        );
+        assert_eq!(
+            FlushReason::classify(4, 4, base, later, true),
+            FlushReason::Drain,
+            "shutdown wins over every other reason"
+        );
     }
 }

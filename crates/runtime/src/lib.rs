@@ -30,18 +30,21 @@
 //!   bounds. In LUT mode, logits are **bit-identical** to the reference
 //!   simulator over [`snn_logquant::LogQuantizer::quantize_tensor`]'d
 //!   weights.
-//! * [`StreamingServer`] / [`DeadlineBatcher`] / [`WorkerPool`] — the
-//!   serving path: requests arrive one at a time (`submit(image) ->
-//!   Ticket`, or `submit_with` carrying per-request [`SubmitOptions`]), an EDF
-//!   batcher flushes the pending window at `max_batch` or when the
-//!   **earliest admitted deadline** expires (plain submissions inherit
-//!   `max_delay`), formed batches run on a `std::thread` [`WorkerPool`],
-//!   and [`StreamingMetrics`] splits queue-wait from execution time,
-//!   histograms batch occupancy and counts backpressure sheds. Streamed
-//!   logits are bit-identical to one [`InferenceBackend::run_batch`] over
-//!   the same images regardless of arrival interleaving, deadlines or
-//!   priorities. The `snn-gateway` crate fronts this server with a
-//!   dependency-free HTTP/1.1 edge.
+//! * [`StreamingServer`] / [`DeadlineBatcher`] — the serving path:
+//!   requests arrive one at a time (`submit(image) -> Ticket`, or
+//!   `submit_with` carrying per-request [`SubmitOptions`]) into one EDF
+//!   queue, and the server's worker threads pull from it directly: a free
+//!   worker takes up to `max_batch` queued requests at once, earliest
+//!   deadline first (plain submissions inherit `max_delay`), so a request
+//!   waits only while every worker is busy. A deadline orders the queue
+//!   and bounds the SLO deadline-miss count; it never holds a request
+//!   back. [`StreamingMetrics`] splits queue-wait from execution time,
+//!   histograms batch occupancy, counts why each batch was taken
+//!   ([`FlushReason`]) and counts backpressure sheds. Streamed logits are
+//!   bit-identical to one [`InferenceBackend::run_batch`] over the same
+//!   images regardless of arrival interleaving, deadlines or priorities.
+//!   The `snn-gateway` crate fronts this server with a dependency-free
+//!   HTTP/1.1 edge, whose connections run on a [`WorkerPool`].
 //! * [`ModelArtifact`] / [`ModelRegistry`] — the many-models layer: a
 //!   versioned on-disk artifact format (magic + format version + checksum,
 //!   bit-exact f32 round-trip of weights **and** per-layer quantizer
@@ -76,7 +79,7 @@
 //! // Offline: one batched call.
 //! let (logits, _stats) = engine.run_batch(&Tensor::full(&[8, 1, 4, 4], 0.5))?;
 //! assert_eq!(logits.dims(), &[8, 2]);
-//! // Served: one request at a time, batched by deadline.
+//! // Served: one request at a time, taken by the next free worker.
 //! let config = StreamingConfig { threads: 2, ..StreamingConfig::default() };
 //! let server = StreamingServer::new(engine, config);
 //! let response = server.submit(&Tensor::full(&[1, 4, 4], 0.5))?.wait()?;
@@ -88,6 +91,11 @@
 
 #![deny(missing_docs)]
 
+// Lets the shared test support (written against the public
+// `snn_runtime::` paths) compile inside this crate's unit tests too.
+#[cfg(test)]
+extern crate self as snn_runtime;
+
 mod artifact;
 mod backend;
 mod batcher;
@@ -95,6 +103,9 @@ mod csr;
 pub mod energy;
 mod engine;
 mod faults;
+#[cfg(test)]
+#[path = "../tests/support/gate.rs"]
+mod gate;
 mod metrics;
 mod quant;
 mod registry;

@@ -1,7 +1,7 @@
 //! Per-request latency and throughput accounting for the
 //! [`crate::StreamingServer`]: [`StreamingMetrics`] splits queue-wait from
-//! execution time and histograms the sizes of the batches the deadline
-//! batcher formed. Every latency distribution is an
+//! execution time and histograms the sizes of the batches the workers
+//! took. Every latency distribution is an
 //! [`snn_telemetry::Histogram`].
 
 use serde::{Deserialize, Serialize};
@@ -65,8 +65,7 @@ pub struct OccupancyBucket {
 
 /// Serializable summary of a streaming-serving window: per-request
 /// end-to-end latency percentiles, the queue-wait versus execution-time
-/// split, and the batch-occupancy distribution the adaptive batcher
-/// produced.
+/// split, and the batch-occupancy distribution the workers produced.
 ///
 /// Percentiles come from [`Histogram::quantile_us`]: never below the
 /// exact nearest-rank value, at most 25 % + 1 µs above it. Means, counts
@@ -76,7 +75,7 @@ pub struct StreamingMetrics {
     /// Streamed requests completed (one image each).
     pub requests: u64,
     /// Submissions rejected with [`SubmitError::QueueFull`]
-    /// (backpressure sheds). Shed requests never enter the pending window,
+    /// (backpressure sheds). Shed requests never enter the queue,
     /// so they appear in no other counter or latency sample.
     ///
     /// [`SubmitError::QueueFull`]: crate::SubmitError::QueueFull
@@ -87,7 +86,7 @@ pub struct StreamingMetrics {
     /// below the shed threshold. Disjoint from
     /// [`shed_requests`](Self::shed_requests).
     pub brownout_shed_requests: u64,
-    /// Batches the deadline batcher formed and executed.
+    /// Batches the workers took and executed.
     pub batches: u64,
     /// Wall-clock time from recorder creation to this summary, ms.
     pub wall_ms: f64,
@@ -120,14 +119,18 @@ pub struct StreamingMetrics {
     pub max_batch_occupancy: u64,
     /// Distribution of formed-batch sizes, ascending by size.
     pub occupancy_histogram: Vec<OccupancyBucket>,
-    /// Batches flushed because their earliest admitted deadline expired
-    /// ([`FlushReason::EdfDeadline`]) — the latency-pressure signal.
+    /// Partial batches taken after their earliest deadline had passed
+    /// ([`FlushReason::EdfDeadline`]) — the backlog signal: requests
+    /// waited past their deadline for a free worker.
     pub flushes_edf_deadline: u64,
-    /// Batches flushed by filling to `max_batch`
-    /// ([`FlushReason::MaxBatch`]) — the well-batched signal.
+    /// Full batches of `max_batch` requests ([`FlushReason::MaxBatch`]) —
+    /// the well-batched signal.
     pub flushes_max_batch: u64,
-    /// Batches flushed by shutdown drain ([`FlushReason::Drain`]).
+    /// Batches taken after shutdown began ([`FlushReason::Drain`]).
     pub flushes_drain: u64,
+    /// Partial batches a free worker took before any rider's deadline
+    /// passed ([`FlushReason::Idle`]) — the idle-server signal.
+    pub flushes_idle: u64,
     /// [`Ticket::wait_timeout`](crate::Ticket::wait_timeout) expiries —
     /// callers that gave up waiting (the server-side view of gateway
     /// 504s). The request itself still executes and lands in the other
@@ -140,8 +143,10 @@ pub struct StreamingMetrics {
     /// Requests quarantined after panicking *solo* on the isolation
     /// retry — the poison request itself, failed with a typed error.
     pub quarantined: u64,
-    /// Requests whose formed batch began executing after their batching
-    /// deadline had already expired — the cumulative companion of the
+    /// Requests whose batch began executing more than
+    /// [`DEADLINE_MISS_GRACE`](crate::DEADLINE_MISS_GRACE) past their
+    /// deadline — they waited that long for a free worker. The cumulative
+    /// companion of the
     /// per-model windowed deadline-miss SLO ratio.
     pub deadline_misses: u64,
     /// Power-of-two bucket view of end-to-end (submit → result) latency.
@@ -281,7 +286,7 @@ pub struct StreamingRecorder {
     batch_sizes: BTreeMap<u64, u64>,
     sheds: u64,
     brownout_sheds: u64,
-    flushes: [u64; 3],
+    flushes: [u64; 4],
     wait_timeouts: u64,
     batch_retries: u64,
     quarantined: u64,
@@ -306,7 +311,7 @@ impl StreamingRecorder {
             batch_sizes: BTreeMap::new(),
             sheds: 0,
             brownout_sheds: 0,
-            flushes: [0; 3],
+            flushes: [0; 4],
             wait_timeouts: 0,
             batch_retries: 0,
             quarantined: 0,
@@ -327,7 +332,7 @@ impl StreamingRecorder {
         self.sink.is_some()
     }
 
-    /// Attaches a structured-logging sink; the batcher's flush and
+    /// Attaches a structured-logging sink; the workers' batch and
     /// failure-isolation decisions start emitting log events (and
     /// incident triggers, when the sink carries a recorder).
     pub fn set_log_sink(&mut self, sink: LogSink) {
@@ -340,7 +345,7 @@ impl StreamingRecorder {
     }
 
     /// Records one executed batch: its size, backend execution time and
-    /// why the batcher flushed it.
+    /// why the worker took it.
     pub fn record_batch(&mut self, size: usize, exec: Duration, reason: FlushReason) {
         *self.batch_sizes.entry(size as u64).or_insert(0) += 1;
         self.exec.record(exec);
@@ -348,6 +353,7 @@ impl StreamingRecorder {
             FlushReason::EdfDeadline => 0,
             FlushReason::MaxBatch => 1,
             FlushReason::Drain => 2,
+            FlushReason::Idle => 3,
         }] += 1;
         if let Some(sink) = &self.sink {
             let now = sink.hub.now_s();
@@ -549,6 +555,7 @@ impl StreamingRecorder {
             flushes_edf_deadline: self.flushes[0],
             flushes_max_batch: self.flushes[1],
             flushes_drain: self.flushes[2],
+            flushes_idle: self.flushes[3],
             wait_timeouts: self.wait_timeouts,
             batch_retries: self.batch_retries,
             quarantined: self.quarantined,
@@ -623,14 +630,16 @@ mod tests {
         r.record_batch(2, Duration::from_millis(1), FlushReason::EdfDeadline);
         r.record_batch(2, Duration::from_millis(1), FlushReason::EdfDeadline);
         r.record_batch(1, Duration::from_millis(1), FlushReason::Drain);
+        r.record_batch(1, Duration::from_millis(1), FlushReason::Idle);
         r.record_wait_timeout();
         assert_eq!(r.wait_timeouts(), 1);
         let m = r.summarize();
         assert_eq!(m.flushes_max_batch, 1);
         assert_eq!(m.flushes_edf_deadline, 2);
         assert_eq!(m.flushes_drain, 1);
+        assert_eq!(m.flushes_idle, 1);
         assert_eq!(
-            m.flushes_edf_deadline + m.flushes_max_batch + m.flushes_drain,
+            m.flushes_edf_deadline + m.flushes_max_batch + m.flushes_drain + m.flushes_idle,
             m.batches,
             "every batch has exactly one flush reason"
         );

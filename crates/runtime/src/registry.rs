@@ -902,7 +902,7 @@ impl ModelRegistry {
     /// swaps, breaker opens/recoveries/rejections, load errors) emit
     /// structured `registry.*` events, a breaker opening triggers an
     /// incident snapshot, and every entry server — resident now or loaded
-    /// later — gets the same sink for its batcher events.
+    /// later — gets the same sink for its worker events.
     pub fn attach_logging(&self, sink: LogSink) {
         let resident: Vec<Arc<ModelHandle>> = {
             let state = self.state.lock().expect("registry state poisoned");
@@ -1074,5 +1074,159 @@ impl std::fmt::Debug for ModelRegistry {
             .field("dir", &self.dir)
             .field("byte_budget", &self.config.byte_budget)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gate::GatedBackend;
+    use crate::BackendHint;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
+    use snn_tensor::Tensor;
+    use ttfs_core::{convert, Base2Kernel};
+
+    const DIMS: [usize; 3] = [1, 3, 4];
+
+    fn dense_artifact(name: &str, version: &str, seed: u64) -> ModelArtifact {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = Sequential::new(vec![
+            Layer::Flatten(Flatten::new()),
+            Layer::Dense(DenseLayer::new(12, 8, &mut rng)),
+            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
+            Layer::Dense(DenseLayer::new(8, 3, &mut rng)),
+        ]);
+        let model = convert(&net, Base2Kernel::paper_default(), 24).unwrap();
+        ModelArtifact::build(name, version, model, &DIMS, BackendHint::Csr).unwrap()
+    }
+
+    /// Replaces the resident entry `key` with one whose server runs
+    /// `artifact`'s backend behind a shut gate, keeping its footprint and
+    /// timings; returns the gate.
+    fn gate_resident(
+        registry: &ModelRegistry,
+        key: &str,
+        artifact: &ModelArtifact,
+    ) -> Arc<GatedBackend> {
+        let (engine, footprint) = artifact.compile().unwrap();
+        let gate = GatedBackend::new(engine);
+        let mut state = registry.state.lock().unwrap();
+        let old = state.resident.get(key).expect("entry is resident");
+        assert_eq!(old.footprint.stored_bytes, footprint.stored_bytes);
+        let gated = Arc::new(ModelHandle {
+            key: old.key.clone(),
+            info: old.info.clone(),
+            server: Arc::new(StreamingServer::new(
+                Arc::clone(&gate) as Arc<dyn InferenceBackend>,
+                registry.config.streaming.clone(),
+            )),
+            footprint,
+            load_ms: old.load_ms,
+            compile_ms: old.compile_ms,
+        });
+        state.resident.insert(key.to_string(), gated);
+        gate
+    }
+
+    #[test]
+    fn lru_never_evicts_a_model_with_in_flight_work() {
+        let dir = std::env::temp_dir().join(format!("snn_registry_lru_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let a = dense_artifact("alpha", "1", 1);
+        let b = dense_artifact("beta", "1", 2);
+        let c = dense_artifact("gamma", "1", 3);
+        a.save(dir.join("alpha@1.snna")).unwrap();
+        b.save(dir.join("beta@1.snna")).unwrap();
+        c.save(dir.join("gamma@1.snna")).unwrap();
+        let fa = a.compile().unwrap().1.stored_bytes;
+        let fb = b.compile().unwrap().1.stored_bytes;
+
+        // Budget admits one model comfortably but not two: the second load
+        // must try to evict the first.
+        let registry = ModelRegistry::open(
+            &dir,
+            RegistryConfig {
+                byte_budget: fa.max(fb) + 1,
+                streaming: StreamingConfig {
+                    threads: 1,
+                    max_batch: 64,
+                    max_delay: Duration::from_secs(30),
+                    max_pending: 0,
+                    brownout: None,
+                },
+                ..RegistryConfig::default()
+            },
+        )
+        .unwrap();
+
+        let alpha = registry.get_or_load("alpha").unwrap();
+        let mut timings = vec![(alpha.load_ms(), alpha.compile_ms())];
+        // Hold alpha's only worker at a gate, so a submission stays in
+        // flight (pending() > 0) until the test releases it.
+        let gate = gate_resident(&registry, alpha.key(), &a);
+        drop(alpha);
+        let alpha = registry.get_or_load("alpha").unwrap();
+        let ticket = alpha.server().submit(&Tensor::full(&DIMS, 0.5)).unwrap();
+        gate.wait_entered(1);
+        drop(alpha); // only the registry and the held ticket's server remain
+
+        // Loading beta pushes the registry over budget, but alpha has an
+        // in-flight request: it must NOT be evicted mid-ticket.
+        let beta = registry.get_or_load("beta").unwrap();
+        timings.push((beta.load_ms(), beta.compile_ms()));
+        let states: Vec<_> = registry
+            .list()
+            .into_iter()
+            .map(|r| (r.name, r.state))
+            .collect();
+        assert!(
+            states.iter().any(|(n, s)| n == "alpha" && s == "resident"),
+            "alpha must stay resident while its ticket is in flight: {states:?}"
+        );
+        assert_eq!(registry.metrics().evictions, 0);
+
+        // The held ticket completes normally — never dropped by eviction.
+        gate.open();
+        let response = ticket.wait().expect("in-flight ticket must complete");
+        assert_eq!(response.logits.dims(), &[3]);
+        // The reply lands just before the worker releases the slot.
+        let server = Arc::clone(registry.state.lock().unwrap().resident["alpha@1"].server());
+        while server.pending() > 0 {
+            std::thread::yield_now();
+        }
+        drop(server);
+
+        // With alpha idle again, the next over-budget load may evict it.
+        let gamma = registry.get_or_load("gamma").unwrap();
+        timings.push((gamma.load_ms(), gamma.compile_ms()));
+        let metrics = registry.metrics();
+        assert!(
+            metrics.evictions >= 1,
+            "idle LRU entry is evictable once its work drains: {metrics:?}"
+        );
+        // The reported maxima are the exact slowest load and compile, not a
+        // histogram bin edge.
+        assert_eq!(metrics.cold_loads, 3);
+        let load_max = timings.iter().map(|t| t.0).fold(0.0, f64::max);
+        let compile_max = timings.iter().map(|t| t.1).fold(0.0, f64::max);
+        assert!(
+            (metrics.load_ms_max - load_max).abs() < 1e-6,
+            "load max {} vs {load_max}",
+            metrics.load_ms_max
+        );
+        assert!(
+            (metrics.compile_ms_max - compile_max).abs() < 1e-6,
+            "compile max {} vs {compile_max}",
+            metrics.compile_ms_max
+        );
+        assert!(!registry
+            .list()
+            .iter()
+            .any(|r| r.name == "alpha" && r.state == "resident"));
+        registry.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,13 @@
-//! The serving front-end over the [`WorkerPool`]: [`StreamingServer`].
-//! Requests arrive one at a time via [`StreamingServer::submit`], an
-//! adaptive [`DeadlineBatcher`] groups them (flush at `max_batch` or when
-//! the oldest request's deadline expires, whichever comes first), and
-//! results come back through per-request [`Ticket`]s.
+//! The serving front-end: [`StreamingServer`]. Requests arrive one at a
+//! time via [`StreamingServer::submit`] and wait in one EDF queue (a
+//! [`DeadlineBatcher`] behind a mutex and condvar); the server's worker
+//! threads pull from it directly — a worker that frees takes up to
+//! `max_batch` queued requests at once — and results come back through
+//! per-request [`Ticket`]s.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -17,46 +18,50 @@ use snn_trace::{push_context, TraceCollector, TraceTarget};
 use ttfs_core::{ConvertError, SnnModel};
 
 use crate::batcher::{
-    BatcherMsg, BrownoutConfig, DeadlineBatcher, FlushReason, PendingRequest, StreamingConfig,
-    SubmitError, SubmitOptions, Ticket,
+    BrownoutConfig, DeadlineBatcher, FlushReason, PendingRequest, StreamingConfig, SubmitError,
+    SubmitOptions, Ticket,
 };
 use crate::energy::EnergyPricer;
 use crate::faults::{FaultInjector, FaultPoint};
 use crate::metrics::{LogSink, StreamingMetrics, StreamingRecorder, TelemetrySink};
-use crate::workers::WorkerPool;
 use crate::{InferenceBackend, StreamedResponse};
 
 /// Tolerance before a late execution start counts as an SLO deadline
 /// miss.
 ///
-/// An EDF-deadline flush *fires at* the earliest admitted deadline, so in
-/// a healthy server `exec_start` trails the deadline by flush-timer wakeup
-/// plus pool-handoff jitter — microseconds to a few milliseconds. Genuine
-/// overload (workers saturated, batches queueing) lags by tens of
-/// milliseconds or more. Counting a miss only past this grace separates
-/// the two without a tunable per deployment.
+/// A request starts as soon as a worker is free, so in a healthy server
+/// `exec_start` trails submission by a condvar wakeup — microseconds —
+/// and never reaches the deadline. A start past the deadline means every
+/// worker was busy: the request waited in the backlog. Counting a miss
+/// only past this grace keeps scheduling jitter around a very tight
+/// (even zero) deadline out of the count, while genuine overload lags by
+/// tens of milliseconds or more.
 pub const DEADLINE_MISS_GRACE: Duration = Duration::from_millis(10);
 
-/// Streaming inference front-end: one-at-a-time submission, adaptive
-/// deadline batching, per-request [`Ticket`] delivery.
+/// Streaming inference front-end: one-at-a-time submission,
+/// work-conserving EDF batching, per-request [`Ticket`] delivery.
 ///
-/// Requests admitted by [`submit`](Self::submit) enter the
-/// [`DeadlineBatcher`]'s pending window; a dedicated batcher thread flushes
-/// the window to the [`WorkerPool`] when it reaches
-/// [`max_batch`](StreamingConfig::max_batch) requests **or** the earliest
-/// admitted deadline expires (EDF; plain `submit` inherits
-/// [`max_delay`](StreamingConfig::max_delay) as its deadline, while
+/// Requests admitted by [`submit`](Self::submit) join one EDF queue (a
+/// [`DeadlineBatcher`]). The server's [`threads`](Self::threads) workers
+/// pull from it directly: a worker that frees takes up to
+/// [`max_batch`](StreamingConfig::max_batch) queued requests at once in
+/// EDF order — ascending deadline (plain `submit` inherits
+/// [`max_delay`](StreamingConfig::max_delay), while
 /// [`submit_with`](Self::submit_with) carries a per-request
-/// [`SubmitOptions`]), whichever comes first. Because every backend
-/// processes batch samples
-/// independently, streamed logits are bit-identical to one
-/// [`InferenceBackend::run_batch`] over the same images, no matter how
-/// arrivals interleave into batches (enforced by property test in
-/// `tests/runtime_equivalence.rs`).
+/// [`SubmitOptions`]), then descending priority, then admission order.
+/// Requests wait only while every worker is busy, so an idle server runs
+/// each request the moment it arrives and a loaded one still forms
+/// batches from its backlog. A deadline orders the queue and bounds the
+/// SLO deadline-miss count; it never holds a request back. Because every
+/// backend processes batch samples independently, streamed logits are
+/// bit-identical to one [`InferenceBackend::run_batch`] over the same
+/// images, no matter how arrivals interleave into batches (enforced by
+/// property test in `tests/runtime_equivalence.rs`).
 ///
-/// [`shutdown`](Self::shutdown) (also run on drop) is graceful: it flushes
-/// the pending window, drains every batch already on the worker queue, and
-/// only then returns — no admitted ticket is left unresolved.
+/// [`shutdown`](Self::shutdown) (also run on drop) is graceful: it closes
+/// submissions, lets the workers drain the queue in `max_batch` chunks,
+/// joins them, and only then returns — no admitted ticket is left
+/// unresolved.
 ///
 /// # Example
 ///
@@ -103,27 +108,15 @@ pub const DEADLINE_MISS_GRACE: Duration = Duration::from_millis(10);
 /// # }
 /// ```
 pub struct StreamingServer {
-    backend: Arc<dyn InferenceBackend>,
-    /// `None` once shut down; doubles as the closed flag so a submit can
-    /// never race a shutdown (both serialize on this lock, and `Shutdown`
-    /// is guaranteed to be the channel's last message).
-    submit_tx: Mutex<Option<Sender<BatcherMsg>>>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
-    pool: Mutex<Option<Arc<WorkerPool>>>,
-    recorder: Arc<Mutex<StreamingRecorder>>,
+    /// The queue, the backend and the recorders, shared with the workers.
+    dispatch: Arc<Dispatch>,
+    /// Worker handles; taken (and joined) by shutdown.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     /// Sample dims are fixed by the first submission; later submissions
-    /// must match so any pending window forms a rectangular batch.
+    /// must match so any batch a worker takes is rectangular.
     sample_dims: Mutex<Option<Vec<usize>>>,
     next_id: AtomicU64,
-    /// Admitted-but-unresolved requests (pending window + worker queue +
-    /// in flight); bounded by `max_pending` when nonzero.
-    in_flight: Arc<AtomicUsize>,
-    /// Span sink shared with the batcher thread and workers; `None` on an
-    /// untraced server ([`new`](Self::new)), where the runtime records
-    /// nothing regardless of [`SubmitOptions::trace`].
-    trace: Option<Arc<TraceCollector>>,
     threads: usize,
-    max_batch: usize,
     max_delay: Duration,
     max_pending: usize,
     /// Priority-brownout policy; `None` = disabled.
@@ -132,20 +125,58 @@ pub struct StreamingServer {
     brownout_engaged: AtomicBool,
 }
 
+/// State shared by the server handle and its workers.
+struct Dispatch {
+    backend: Arc<dyn InferenceBackend>,
+    queue: Mutex<Queue>,
+    /// Signalled on every push (and on shutdown) so one idle worker wakes.
+    ready: Condvar,
+    recorder: Arc<Mutex<StreamingRecorder>>,
+    /// Admitted-but-unresolved requests (queued + executing); bounded by
+    /// `max_pending` when nonzero.
+    in_flight: AtomicUsize,
+    /// Span sink shared with the workers; `None` on an untraced server
+    /// ([`StreamingServer::new`]), where the runtime records nothing
+    /// regardless of [`SubmitOptions::trace`].
+    trace: Option<Arc<TraceCollector>>,
+    max_batch: usize,
+}
+
+/// The EDF queue plus the closed flag. One lock covers both, so a submit
+/// can never race a shutdown: a request is either queued before `closed`
+/// is set (and drained) or refused.
+struct Queue {
+    pending: DeadlineBatcher<PendingRequest>,
+    closed: bool,
+}
+
+impl Dispatch {
+    /// The queue lock. Every mutex in the server guards plain data with
+    /// no multi-step invariants, so a panic under one recovers the guard
+    /// instead of wedging shutdown and `/metrics` forever.
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn recorder(&self) -> MutexGuard<'_, StreamingRecorder> {
+        self.recorder.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 impl StreamingServer {
-    /// Builds a streaming server around `backend` and starts its batcher
-    /// thread and worker pool.
+    /// Builds a streaming server around `backend` and starts its worker
+    /// threads.
     pub fn new(backend: Arc<dyn InferenceBackend>, config: StreamingConfig) -> Self {
         Self::build(backend, config, None)
     }
 
-    /// Like [`new`](Self::new), but with a [`TraceCollector`] the batcher
-    /// thread and workers record runtime spans into (`queue.wait`,
-    /// `batch.flush` with its reason, `batch.exec` and the per-stage
-    /// engine spans underneath) for every submission carrying a
-    /// [`SubmitOptions::trace`] target. A disabled collector costs one
-    /// relaxed atomic load per recording site; logits are bit-identical
-    /// either way (tracing never touches the accumulation path).
+    /// Like [`new`](Self::new), but with a [`TraceCollector`] the workers
+    /// record runtime spans into (`queue.wait`, `batch.flush` with its
+    /// reason, `batch.exec` and the per-stage engine spans underneath) for
+    /// every submission carrying a [`SubmitOptions::trace`] target. A
+    /// disabled collector costs one relaxed atomic load per recording
+    /// site; logits are bit-identical either way (tracing never touches
+    /// the accumulation path).
     pub fn new_traced(
         backend: Arc<dyn InferenceBackend>,
         config: StreamingConfig,
@@ -164,39 +195,33 @@ impl StreamingServer {
         } else {
             std::thread::available_parallelism().map_or(4, |n| n.get())
         };
-        let max_batch = config.max_batch.max(1);
-        let pool = Arc::new(WorkerPool::new(threads));
-        let recorder = Arc::new(Mutex::new(StreamingRecorder::new()));
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = channel::<BatcherMsg>();
-        let handle = {
-            let backend = Arc::clone(&backend);
-            let pool = Arc::clone(&pool);
-            let recorder = Arc::clone(&recorder);
-            let in_flight = Arc::clone(&in_flight);
-            let trace = trace.clone();
-            let max_delay = config.max_delay;
-            std::thread::Builder::new()
-                .name("snn-runtime-batcher".into())
-                .spawn(move || {
-                    batcher_loop(
-                        rx, backend, pool, recorder, in_flight, trace, max_batch, max_delay,
-                    )
-                })
-                .expect("failed to spawn batcher thread")
-        };
-        Self {
+        let dispatch = Arc::new(Dispatch {
             backend,
-            submit_tx: Mutex::new(Some(tx)),
-            batcher: Mutex::new(Some(handle)),
-            pool: Mutex::new(Some(pool)),
-            recorder,
+            queue: Mutex::new(Queue {
+                pending: DeadlineBatcher::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            recorder: Arc::new(Mutex::new(StreamingRecorder::new())),
+            in_flight: AtomicUsize::new(0),
+            trace,
+            max_batch: config.max_batch.max(1),
+        });
+        let workers = (0..threads)
+            .map(|i| {
+                let dispatch = Arc::clone(&dispatch);
+                std::thread::Builder::new()
+                    .name(format!("snn-runtime-worker-{i}"))
+                    .spawn(move || worker_loop(&dispatch))
+                    .expect("failed to spawn worker thread")
+            })
+            .collect();
+        Self {
+            dispatch,
+            workers: Mutex::new(workers),
             sample_dims: Mutex::new(None),
             next_id: AtomicU64::new(0),
-            in_flight,
-            trace,
             threads,
-            max_batch,
             max_delay: config.max_delay,
             max_pending: config.max_pending,
             brownout: config.brownout,
@@ -207,35 +232,35 @@ impl StreamingServer {
     /// The span sink this server records runtime spans into, if it was
     /// built with [`new_traced`](Self::new_traced).
     pub fn trace_collector(&self) -> Option<&Arc<TraceCollector>> {
-        self.trace.as_ref()
+        self.dispatch.trace.as_ref()
     }
 
     /// The wrapped backend's identifier.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        self.dispatch.backend.name()
     }
 
     /// The converted model the wrapped backend executes (a network
     /// front-end uses this to validate request geometry before admitting
     /// traffic into the stream).
     pub fn model(&self) -> &SnnModel {
-        self.backend.model()
+        self.dispatch.backend.model()
     }
 
     /// The per-sample dims this server's backend was compiled for, when
     /// fixed ([`InferenceBackend::input_dims`]).
     pub fn input_dims(&self) -> Option<&[usize]> {
-        self.backend.input_dims()
+        self.dispatch.backend.input_dims()
     }
 
-    /// Worker thread count (excluding the batcher thread).
+    /// Worker thread count: the OS threads this server runs.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The count-flush threshold.
+    /// The most requests one batch holds.
     pub fn max_batch(&self) -> usize {
-        self.max_batch
+        self.dispatch.max_batch
     }
 
     /// The backpressure bound (0 = unbounded).
@@ -243,10 +268,9 @@ impl StreamingServer {
         self.max_pending
     }
 
-    /// Admitted-but-unresolved requests right now (pending window + worker
-    /// queue + in flight).
+    /// Admitted-but-unresolved requests right now (queued + executing).
     pub fn pending(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
+        self.dispatch.in_flight.load(Ordering::Relaxed)
     }
 
     /// Whether [`shutdown`](Self::shutdown) has begun: submissions are
@@ -254,14 +278,7 @@ impl StreamingServer {
     /// [`SubmitError::Rejected`]. A front-end uses this to tell
     /// unavailability (503) apart from a malformed request (400).
     pub fn is_shut_down(&self) -> bool {
-        // All of this server's mutexes guard plain data (handles,
-        // counters, recorders) with no multi-step invariants, so a panic
-        // under any of them recovers the guard instead of wedging
-        // shutdown and `/metrics` forever.
-        self.submit_tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_none()
+        self.dispatch.queue().closed
     }
 
     /// Whether priority brownout is currently engaged (admitted count
@@ -283,8 +300,8 @@ impl StreamingServer {
     }
 
     /// Submits one image with explicit per-request scheduling options: a
-    /// batching deadline (EDF — the pending window flushes when its
-    /// earliest admitted deadline expires) and an assembly priority.
+    /// deadline (the EDF sort key and deadline-miss bound) and a
+    /// tie-break priority.
     ///
     /// # Errors
     ///
@@ -306,18 +323,16 @@ impl StreamingServer {
                 "streamed sample must be a non-empty per-sample tensor".into(),
             )));
         }
+        let in_flight = &self.dispatch.in_flight;
         // Backpressure admission: optimistically claim a slot, back out if
         // that overshot the bound (atomic, so concurrent submitters can
         // never jointly exceed it). Unbounded servers still count, so
         // `pending()` stays observable. This runs BEFORE the stream's
         // sample dims are pinned: a shed request must be side-effect free.
-        let admitted = self.in_flight.fetch_add(1, Ordering::AcqRel);
+        let admitted = in_flight.fetch_add(1, Ordering::AcqRel);
         if self.max_pending > 0 && admitted >= self.max_pending {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.recorder
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record_shed(options.priority);
+            in_flight.fetch_sub(1, Ordering::AcqRel);
+            self.dispatch.recorder().record_shed(options.priority);
             return Err(SubmitError::QueueFull {
                 max_pending: self.max_pending,
             });
@@ -341,10 +356,9 @@ impl StreamingServer {
                 self.brownout_engaged.load(Ordering::Relaxed)
             };
             if engaged && options.priority < brownout.shed_below_priority {
-                self.in_flight.fetch_sub(1, Ordering::AcqRel);
-                self.recorder
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
+                in_flight.fetch_sub(1, Ordering::AcqRel);
+                self.dispatch
+                    .recorder()
                     .record_brownout_shed(options.priority);
                 return Err(SubmitError::Brownout {
                     priority: options.priority,
@@ -353,14 +367,14 @@ impl StreamingServer {
             }
         }
         let release_slot = || {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+            in_flight.fetch_sub(1, Ordering::AcqRel);
         };
         // Validate geometry against the backend's compiled dims when it
         // has them — per entry, not per process, so two servers fronting
         // models of different dims coexist and a bad first submission
         // can't pin the stream to the wrong geometry. Shape-agnostic
         // backends fall back to first-submission pinning.
-        if let Some(expected) = self.backend.input_dims() {
+        if let Some(expected) = self.dispatch.backend.input_dims() {
             if expected != image.dims() {
                 release_slot();
                 return Err(SubmitError::Rejected(ConvertError::Structure(format!(
@@ -388,31 +402,32 @@ impl StreamingServer {
         }
         let (reply, rx) = channel();
         let enqueued = Instant::now();
+        let deadline = enqueued + options.deadline.unwrap_or(self.max_delay);
         let request = PendingRequest {
             image: image.as_slice().to_vec(),
             sample_dims: image.dims().to_vec(),
             enqueued,
-            deadline: enqueued + options.deadline.unwrap_or(self.max_delay),
-            priority: options.priority,
+            deadline,
             // A trace target without a collector records nothing.
-            trace: self.trace.as_ref().and(options.trace),
+            trace: self.dispatch.trace.as_ref().and(options.trace),
             reply,
         };
-        let guard = self.submit_tx.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(tx) = guard.as_ref() else {
-            release_slot();
-            return Err(SubmitError::Rejected(ConvertError::Structure(
-                "streaming server is shut down; submissions are closed".into(),
-            )));
-        };
-        tx.send(BatcherMsg::Request(request)).map_err(|_| {
-            release_slot();
-            SubmitError::Rejected(ConvertError::Structure("batcher thread is gone".into()))
-        })?;
+        {
+            let mut queue = self.dispatch.queue();
+            if queue.closed {
+                drop(queue);
+                release_slot();
+                return Err(SubmitError::Rejected(ConvertError::Structure(
+                    "streaming server is shut down; submissions are closed".into(),
+                )));
+            }
+            queue.pending.push_with(request, deadline, options.priority);
+        }
+        self.dispatch.ready.notify_one();
         Ok(Ticket::new(
             self.next_id.fetch_add(1, Ordering::Relaxed),
             rx,
-            Some(Arc::clone(&self.recorder)),
+            Some(Arc::clone(&self.dispatch.recorder)),
         ))
     }
 
@@ -429,18 +444,15 @@ impl StreamingServer {
     /// `energy.price` span. Telemetry only ever reads timings and event
     /// counters, so logits stay bit-identical with or without it.
     pub fn attach_telemetry(&self, hub: Arc<TelemetryHub>, labels: Labels) {
-        let pricer = self
-            .backend
+        let backend = &self.dispatch.backend;
+        let pricer = backend
             .input_dims()
-            .and_then(|dims| EnergyPricer::new(self.backend.model(), dims).ok());
+            .and_then(|dims| EnergyPricer::new(backend.model(), dims).ok());
         let sink = TelemetrySink::new(hub, labels, pricer);
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .set_sink(sink);
+        self.dispatch.recorder().set_sink(sink);
     }
 
-    /// Attaches structured logging: the batcher's flush decisions,
+    /// Attaches structured logging: the workers' batch decisions,
     /// failure isolation (batch retries, quarantines) and brownout
     /// transitions start emitting flight-recorder events — and incident
     /// snapshots, when the sink carries an
@@ -448,10 +460,7 @@ impl StreamingServer {
     /// ever reads timings and counters, so logits stay bit-identical
     /// with or without it.
     pub fn attach_logging(&self, sink: LogSink) {
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .set_log_sink(sink);
+        self.dispatch.recorder().set_log_sink(sink);
     }
 
     /// Logs (and, on engage, snapshots) a brownout hysteresis
@@ -459,12 +468,7 @@ impl StreamingServer {
     /// engaged bit actually flips.
     #[cold]
     fn on_brownout_transition(&self, engaged: bool, depth: usize) {
-        let sink = self
-            .recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .log_sink()
-            .cloned();
+        let sink = self.dispatch.recorder().log_sink().cloned();
         let Some(sink) = sink else { return };
         if engaged {
             snn_log::warn!(
@@ -494,39 +498,19 @@ impl StreamingServer {
     /// working even after a thread panicked under the recorder lock —
     /// observability must survive exactly the situations it exists for.
     pub fn metrics(&self) -> StreamingMetrics {
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .summarize()
+        self.dispatch.recorder().summarize()
     }
 
-    /// Gracefully shuts down: closes submissions, flushes the pending
-    /// window, waits for every dispatched batch to finish (resolving all
-    /// outstanding tickets), and returns the final metrics. Idempotent;
-    /// also invoked by [`Drop`].
+    /// Gracefully shuts down: closes submissions, lets the workers drain
+    /// every queued request (resolving all outstanding tickets), joins
+    /// them, and returns the final metrics. Idempotent; also invoked by
+    /// [`Drop`].
     pub fn shutdown(&self) -> StreamingMetrics {
-        if let Some(tx) = self
-            .submit_tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            // The batcher may already be gone (panic); ignore send failure.
-            let _ = tx.send(BatcherMsg::Shutdown);
-        }
-        if let Some(handle) = self
-            .batcher
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            let _ = handle.join();
-        }
-        // The batcher thread has exited, so its pool Arc is dropped: taking
-        // ours makes this the last reference and drop joins the workers
-        // after the queued batches drain.
-        if let Some(pool) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            drop(pool);
+        self.dispatch.queue().closed = true;
+        self.dispatch.ready.notify_all();
+        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
+        for worker in workers {
+            let _ = worker.join();
         }
         self.metrics()
     }
@@ -538,120 +522,89 @@ impl Drop for StreamingServer {
     }
 }
 
-/// The batcher thread: admits requests into the [`DeadlineBatcher`],
-/// sleeps until the earliest of (next message, earliest admitted
-/// deadline), and dispatches formed batches to the worker pool. On
-/// shutdown or channel disconnect it flushes the remaining window in
-/// `max_batch`-sized chunks.
-#[allow(clippy::too_many_arguments)] // thread entry point, not an API
-fn batcher_loop(
-    rx: Receiver<BatcherMsg>,
-    backend: Arc<dyn InferenceBackend>,
-    pool: Arc<WorkerPool>,
-    recorder: Arc<Mutex<StreamingRecorder>>,
-    in_flight: Arc<AtomicUsize>,
-    trace: Option<Arc<TraceCollector>>,
-    max_batch: usize,
-    max_delay: Duration,
-) {
-    let mut batcher: DeadlineBatcher<PendingRequest> = DeadlineBatcher::new(max_batch, max_delay);
-    let dispatch = |batch: Vec<PendingRequest>, reason: FlushReason| {
-        dispatch_batch(
-            &backend, &pool, &recorder, &in_flight, &trace, batch, reason,
-        )
-    };
+/// One worker: take up to `max_batch` queued requests in EDF order the
+/// moment any are queued, execute them, repeat. Sleeps on the condvar
+/// only while the queue is empty; exits once shutdown has closed the
+/// queue and it is drained.
+fn worker_loop(dispatch: &Dispatch) {
+    let mut queue = dispatch.queue();
     loop {
-        let msg = if batcher.is_empty() {
-            // Nothing pending: nothing can expire, block indefinitely.
-            match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
+        if queue.pending.is_empty() {
+            if queue.closed {
+                return;
             }
-        } else {
-            let deadline = batcher.deadline().expect("non-empty window has a deadline");
-            let now = Instant::now();
-            if let Some(batch) = batcher.poll_expired(now) {
-                dispatch(batch, FlushReason::EdfDeadline);
-                continue;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(batch) = batcher.poll_expired(Instant::now()) {
-                        dispatch(batch, FlushReason::EdfDeadline);
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        };
-        match msg {
-            BatcherMsg::Request(request) => {
-                let (deadline, priority) = (request.deadline, request.priority);
-                if let Some(batch) = batcher.push_with(request, deadline, priority) {
-                    dispatch(batch, FlushReason::MaxBatch);
-                }
-            }
-            BatcherMsg::Shutdown => break,
+            queue = dispatch
+                .ready
+                .wait(queue)
+                .unwrap_or_else(|e| e.into_inner());
+            continue;
         }
-    }
-    // Graceful drain: flush whatever is still pending, respecting
-    // max_batch so shutdown batches look like steady-state ones.
-    let mut rest = batcher.drain();
-    while !rest.is_empty() {
-        let tail = if rest.len() > max_batch {
-            rest.split_off(max_batch)
-        } else {
-            Vec::new()
-        };
-        dispatch(std::mem::replace(&mut rest, tail), FlushReason::Drain);
+        let batch = queue.pending.take(dispatch.max_batch);
+        let reason = FlushReason::classify(
+            batch.len(),
+            dispatch.max_batch,
+            batch[0].deadline,
+            Instant::now(),
+            queue.closed,
+        );
+        let more = !queue.pending.is_empty();
+        drop(queue);
+        if more {
+            // Work conservation: a backlog left behind wakes another idle
+            // worker instead of waiting for this one to finish.
+            dispatch.ready.notify_one();
+        }
+        // The backend call is already guarded; this catches a panic
+        // anywhere else in the batch path, so no batch can cost the
+        // server a worker. Its tickets then see a dropped reply and its
+        // slots come back through `SlotRelease`.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_batch(dispatch, batch, reason)
+        }));
+        queue = dispatch.queue();
     }
 }
 
-/// Concatenates a formed batch into one `[k, …sample_dims]` tensor, runs it
-/// on the pool, and fans the per-row logits back out to each request's
-/// ticket, recording queue-wait / execution / end-to-end splits.
 /// Releases a batch's backpressure slots on drop, so the release also
-/// happens when the worker closure unwinds (a panicking backend must not
-/// wedge a bounded server by leaking admissions) or when a closed pool
-/// drops the closure unexecuted.
-struct SlotRelease {
-    in_flight: Arc<AtomicUsize>,
+/// happens when the batch path unwinds (a panicking backend must not
+/// wedge a bounded server by leaking admissions).
+struct SlotRelease<'a> {
+    in_flight: &'a AtomicUsize,
     slots: usize,
 }
 
-impl Drop for SlotRelease {
+impl Drop for SlotRelease<'_> {
     fn drop(&mut self) {
         self.in_flight.fetch_sub(self.slots, Ordering::AcqRel);
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal dispatch helper, not an API
-fn dispatch_batch(
-    backend: &Arc<dyn InferenceBackend>,
-    pool: &Arc<WorkerPool>,
-    recorder: &Arc<Mutex<StreamingRecorder>>,
-    in_flight: &Arc<AtomicUsize>,
-    trace: &Option<Arc<TraceCollector>>,
-    batch: Vec<PendingRequest>,
-    reason: FlushReason,
-) {
-    debug_assert!(!batch.is_empty(), "never dispatch an empty batch");
-    let backend = Arc::clone(backend);
-    let recorder = Arc::clone(recorder);
-    // On the batcher thread, mark the flush decision itself — an
-    // instantaneous span per traced request carrying the flush reason.
-    let collector = trace.as_ref().filter(|c| c.is_enabled()).map(Arc::clone);
-    if let Some(collector) = &collector {
-        let now = Instant::now();
+/// Concatenates a taken batch into one `[k, …sample_dims]` tensor, runs it
+/// on the backend, and fans the per-row logits back out to each request's
+/// ticket, recording queue-wait / execution / end-to-end splits.
+fn execute_batch(dispatch: &Dispatch, batch: Vec<PendingRequest>, reason: FlushReason) {
+    debug_assert!(!batch.is_empty(), "never execute an empty batch");
+    let backend = &dispatch.backend;
+    // Every path that resolves the batch — normal completion, backend
+    // error, backend panic, an unwind anywhere — releases its slots
+    // exactly once.
+    let _slot_release = SlotRelease {
+        in_flight: &dispatch.in_flight,
+        slots: batch.len(),
+    };
+    let collector = dispatch.trace.as_ref().filter(|c| c.is_enabled());
+    let exec_start = Instant::now();
+    if let Some(collector) = collector {
+        // Mark the take itself — an instantaneous span per traced request
+        // carrying the flush reason.
         for request in batch.iter() {
             if let Some(target) = request.trace {
                 collector.record_span(
                     target.trace,
                     target.parent,
                     "batch.flush",
-                    now,
-                    now,
+                    exec_start,
+                    exec_start,
                     vec![
                         ("reason", reason.as_str().into()),
                         ("batch_size", batch.len().into()),
@@ -660,217 +613,197 @@ fn dispatch_batch(
             }
         }
     }
-    // Moved into the closure: every path that resolves (or abandons) the
-    // batch — normal completion, backend error, backend panic, pool
-    // already closed — releases its slots exactly once.
-    let slot_release = SlotRelease {
-        in_flight: Arc::clone(in_flight),
-        slots: batch.len(),
+    let k = batch.len();
+    let sample_dims = batch[0].sample_dims.clone();
+    let sample_len: usize = sample_dims.iter().product();
+    let mut data = Vec::with_capacity(k * sample_len);
+    for request in &batch {
+        data.extend_from_slice(&request.image);
+    }
+    let mut batch_dims = vec![k];
+    batch_dims.extend_from_slice(&sample_dims);
+    // Pre-allocate one `batch.exec` span per traced rider and hang an
+    // ambient context under them, so per-stage engine spans fan out into
+    // every traced request's tree.
+    let exec_spans: Vec<(TraceTarget, u64)> = match collector {
+        Some(c) => batch
+            .iter()
+            .filter_map(|r| r.trace)
+            .map(|t| (t, c.next_span_id()))
+            .collect(),
+        None => Vec::new(),
     };
-    let run = move || {
-        let _slot_release = slot_release;
-        let exec_start = Instant::now();
-        let k = batch.len();
-        let sample_dims = batch[0].sample_dims.clone();
-        let sample_len: usize = sample_dims.iter().product();
-        let mut data = Vec::with_capacity(k * sample_len);
-        for request in &batch {
-            data.extend_from_slice(&request.image);
-        }
-        let mut batch_dims = vec![k];
-        batch_dims.extend_from_slice(&sample_dims);
-        // Pre-allocate one `batch.exec` span per traced rider and hang an
-        // ambient context under them, so per-stage engine spans fan out
-        // into every traced request's tree.
-        let exec_spans: Vec<(TraceTarget, u64)> = match &collector {
-            Some(c) => batch
+    let ctx = collector.filter(|_| !exec_spans.is_empty()).map(|c| {
+        push_context(
+            Arc::clone(c),
+            exec_spans
                 .iter()
-                .filter_map(|r| r.trace)
-                .map(|t| (t, c.next_span_id()))
+                .map(|(t, exec_id)| TraceTarget {
+                    trace: t.trace,
+                    parent: *exec_id,
+                })
                 .collect(),
-            None => Vec::new(),
-        };
-        let ctx = collector
-            .as_ref()
-            .filter(|_| !exec_spans.is_empty())
-            .map(|c| {
-                push_context(
-                    Arc::clone(c),
-                    exec_spans
-                        .iter()
-                        .map(|(t, exec_id)| TraceTarget {
-                            trace: t.trace,
-                            parent: *exec_id,
-                        })
-                        .collect(),
+        )
+    });
+    let injector = FaultInjector::global();
+    if injector.should(FaultPoint::BackendSlow) {
+        std::thread::sleep(injector.slow_delay());
+    }
+    let outcome = match Tensor::from_vec(data, &batch_dims) {
+        Err(e) => Ok(Err(ConvertError::Structure(e.to_string()))),
+        Ok(images) => run_batch_guarded(backend, &images),
+    };
+    drop(ctx);
+    let exec_end = Instant::now();
+    let exec_time = exec_end.duration_since(exec_start);
+    if let Some(c) = collector {
+        for (target, exec_id) in &exec_spans {
+            c.record_span_with_id(
+                *exec_id,
+                target.trace,
+                target.parent,
+                "batch.exec",
+                exec_start,
+                exec_end,
+                vec![
+                    ("batch_size", k.into()),
+                    ("backend", backend.name().into()),
+                    ("ok", u64::from(matches!(outcome, Ok(Ok(_)))).into()),
+                ],
+            );
+        }
+    }
+    match outcome {
+        Ok(Ok((logits, stats))) => {
+            let classes = logits.dims()[1];
+            // One lock for the whole batch, not one per request.
+            let mut rec = dispatch.recorder();
+            rec.record_batch(k, exec_time, reason);
+            // Priced once per executed batch (O(layers)), attributed per
+            // image; 0.0 when no telemetry/pricer is attached.
+            let energy_uj = rec.record_batch_energy(&stats, k);
+            for (i, request) in batch.into_iter().enumerate() {
+                let row = Tensor::from_vec(
+                    logits.as_slice()[i * classes..(i + 1) * classes].to_vec(),
+                    &[classes],
                 )
-            });
-        let injector = FaultInjector::global();
-        if injector.should(FaultPoint::BackendSlow) {
-            std::thread::sleep(injector.slow_delay());
-        }
-        let outcome = match Tensor::from_vec(data, &batch_dims) {
-            Err(e) => Ok(Err(ConvertError::Structure(e.to_string()))),
-            Ok(images) => run_batch_guarded(&backend, &images),
-        };
-        drop(ctx);
-        let exec_end = Instant::now();
-        let exec_time = exec_end.duration_since(exec_start);
-        if let Some(c) = &collector {
-            for (target, exec_id) in &exec_spans {
-                c.record_span_with_id(
-                    *exec_id,
-                    target.trace,
-                    target.parent,
-                    "batch.exec",
-                    exec_start,
-                    exec_end,
-                    vec![
-                        ("batch_size", k.into()),
-                        ("backend", backend.name().into()),
-                        ("ok", u64::from(matches!(outcome, Ok(Ok(_)))).into()),
-                    ],
-                );
-            }
-        }
-        match outcome {
-            Ok(Ok((logits, stats))) => {
-                let classes = logits.dims()[1];
-                // One lock for the whole batch, not one per request.
-                let mut rec = recorder.lock().unwrap_or_else(|e| e.into_inner());
-                rec.record_batch(k, exec_time, reason);
-                // Priced once per executed batch (O(layers)), attributed
-                // per image; 0.0 when no telemetry/pricer is attached.
-                let energy_uj = rec.record_batch_energy(&stats, k);
-                for (i, request) in batch.into_iter().enumerate() {
-                    let row = Tensor::from_vec(
-                        logits.as_slice()[i * classes..(i + 1) * classes].to_vec(),
-                        &[classes],
-                    )
-                    .expect("row slice matches classes");
-                    let queue_wait = exec_start.saturating_duration_since(request.enqueued);
-                    // SLO deadline miss: the batch started executing more
-                    // than [`DEADLINE_MISS_GRACE`] after this request's
-                    // EDF deadline. The grace absorbs the flush path's own
-                    // latency — an EDF-deadline flush *fires at* the
-                    // deadline, so without it every deadline-flushed
-                    // request would count as late by timer jitter.
-                    let deadline_missed = exec_start > request.deadline + DEADLINE_MISS_GRACE;
-                    rec.record_request(request.enqueued.elapsed(), queue_wait, deadline_missed);
-                    // Record runtime spans BEFORE the reply lands: once
-                    // the submitter sees its response, its trace query
-                    // must already contain the whole runtime side.
-                    if let (Some(c), Some(target)) = (&collector, request.trace) {
+                .expect("row slice matches classes");
+                let queue_wait = exec_start.saturating_duration_since(request.enqueued);
+                // SLO deadline miss: the batch started executing more
+                // than [`DEADLINE_MISS_GRACE`] after this request's EDF
+                // deadline — it waited that long for a free worker.
+                let deadline_missed = exec_start > request.deadline + DEADLINE_MISS_GRACE;
+                rec.record_request(request.enqueued.elapsed(), queue_wait, deadline_missed);
+                // Record runtime spans BEFORE the reply lands: once the
+                // submitter sees its response, its trace query must
+                // already contain the whole runtime side.
+                if let (Some(c), Some(target)) = (collector, request.trace) {
+                    c.record_span(
+                        target.trace,
+                        target.parent,
+                        "queue.wait",
+                        request.enqueued,
+                        exec_start,
+                        Vec::new(),
+                    );
+                    if energy_uj > 0.0 {
                         c.record_span(
                             target.trace,
                             target.parent,
-                            "queue.wait",
-                            request.enqueued,
-                            exec_start,
-                            Vec::new(),
+                            "energy.price",
+                            exec_end,
+                            exec_end,
+                            vec![("energy_uj", energy_uj.into())],
                         );
-                        if energy_uj > 0.0 {
-                            c.record_span(
-                                target.trace,
-                                target.parent,
-                                "energy.price",
-                                exec_end,
-                                exec_end,
-                                vec![("energy_uj", energy_uj.into())],
-                            );
-                        }
-                    }
-                    let _ = request.reply.send(Ok(StreamedResponse {
-                        logits: row,
-                        batch_stats: stats.clone(),
-                        queue_wait,
-                        exec_time,
-                        batch_size: k,
-                        energy_uj,
-                    }));
-                }
-            }
-            Ok(Err(e)) => {
-                for request in batch {
-                    let _ = request.reply.send(Err(e.clone()));
-                }
-            }
-            Err(()) => {
-                // The batch panicked inside the backend. Blast-radius
-                // isolation: re-run every rider individually once, so
-                // innocents co-batched with a poison request still get
-                // their answer; a request that panics again *solo* is the
-                // poison — quarantine it with a typed error instead of
-                // letting it take its batchmates (or the next batch it
-                // would be retried into) down.
-                recorder
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record_batch_retry();
-                for request in batch {
-                    let solo_start = Instant::now();
-                    let mut solo_dims = vec![1usize];
-                    solo_dims.extend_from_slice(&request.sample_dims);
-                    let solo_outcome = match Tensor::from_vec(request.image.clone(), &solo_dims) {
-                        Err(e) => Ok(Err(ConvertError::Structure(e.to_string()))),
-                        Ok(solo) => run_batch_guarded(&backend, &solo),
-                    };
-                    match solo_outcome {
-                        Ok(Ok((logits, stats))) => {
-                            let classes = logits.dims()[1];
-                            let solo_exec = solo_start.elapsed();
-                            let queue_wait = solo_start.saturating_duration_since(request.enqueued);
-                            let row =
-                                Tensor::from_vec(logits.as_slice()[..classes].to_vec(), &[classes])
-                                    .expect("row slice matches classes");
-                            let mut rec = recorder.lock().unwrap_or_else(|e| e.into_inner());
-                            rec.record_batch(1, solo_exec, reason);
-                            let energy_uj = rec.record_batch_energy(&stats, 1);
-                            rec.record_request(
-                                request.enqueued.elapsed(),
-                                queue_wait,
-                                solo_start > request.deadline + DEADLINE_MISS_GRACE,
-                            );
-                            drop(rec);
-                            let _ = request.reply.send(Ok(StreamedResponse {
-                                logits: row,
-                                batch_stats: stats,
-                                queue_wait,
-                                exec_time: solo_exec,
-                                batch_size: 1,
-                                energy_uj,
-                            }));
-                        }
-                        Ok(Err(e)) => {
-                            let _ = request.reply.send(Err(e));
-                        }
-                        Err(()) => {
-                            let log_sink = {
-                                let mut rec = recorder.lock().unwrap_or_else(|e| e.into_inner());
-                                rec.record_quarantined();
-                                rec.log_sink().cloned()
-                            };
-                            // Outside the recorder lock: the incident
-                            // snapshot provider reads live stats through
-                            // that same lock.
-                            if let Some(sink) = log_sink {
-                                sink.incident(
-                                    "quarantine",
-                                    "request quarantined after panicking solo on the isolation retry",
-                                    request.trace.map(|t| t.trace),
-                                );
-                            }
-                            let _ = request.reply.send(Err(quarantined_error()));
-                        }
                     }
                 }
+                let _ = request.reply.send(Ok(StreamedResponse {
+                    logits: row,
+                    batch_stats: stats.clone(),
+                    queue_wait,
+                    exec_time,
+                    batch_size: k,
+                    energy_uj,
+                }));
             }
         }
+        Ok(Err(e)) => {
+            for request in batch {
+                let _ = request.reply.send(Err(e.clone()));
+            }
+        }
+        Err(()) => {
+            // The batch panicked inside the backend. Blast-radius
+            // isolation: re-run every rider individually once, so
+            // innocents co-batched with a poison request still get their
+            // answer; a request that panics again *solo* is the poison —
+            // quarantine it with a typed error instead of letting it take
+            // its batchmates (or the next batch it would be retried into)
+            // down.
+            dispatch.recorder().record_batch_retry();
+            for request in batch {
+                retry_solo(dispatch, request, reason);
+            }
+        }
+    }
+}
+
+/// The isolation retry of one rider of a panicked batch: run it alone,
+/// answer it on success, quarantine it if it panics again.
+fn retry_solo(dispatch: &Dispatch, request: PendingRequest, reason: FlushReason) {
+    let solo_start = Instant::now();
+    let mut solo_dims = vec![1usize];
+    solo_dims.extend_from_slice(&request.sample_dims);
+    let solo_outcome = match Tensor::from_vec(request.image.clone(), &solo_dims) {
+        Err(e) => Ok(Err(ConvertError::Structure(e.to_string()))),
+        Ok(solo) => run_batch_guarded(&dispatch.backend, &solo),
     };
-    // A closed pool means shutdown already ran; fail the batch gracefully
-    // by dropping it — every reply sender drops (tickets see the error)
-    // and the dropped SlotRelease returns the batch's admissions.
-    let _ = pool.try_execute(run);
+    match solo_outcome {
+        Ok(Ok((logits, stats))) => {
+            let classes = logits.dims()[1];
+            let solo_exec = solo_start.elapsed();
+            let queue_wait = solo_start.saturating_duration_since(request.enqueued);
+            let row = Tensor::from_vec(logits.as_slice()[..classes].to_vec(), &[classes])
+                .expect("row slice matches classes");
+            let mut rec = dispatch.recorder();
+            rec.record_batch(1, solo_exec, reason);
+            let energy_uj = rec.record_batch_energy(&stats, 1);
+            rec.record_request(
+                request.enqueued.elapsed(),
+                queue_wait,
+                solo_start > request.deadline + DEADLINE_MISS_GRACE,
+            );
+            drop(rec);
+            let _ = request.reply.send(Ok(StreamedResponse {
+                logits: row,
+                batch_stats: stats,
+                queue_wait,
+                exec_time: solo_exec,
+                batch_size: 1,
+                energy_uj,
+            }));
+        }
+        Ok(Err(e)) => {
+            let _ = request.reply.send(Err(e));
+        }
+        Err(()) => {
+            let log_sink = {
+                let mut rec = dispatch.recorder();
+                rec.record_quarantined();
+                rec.log_sink().cloned()
+            };
+            // Outside the recorder lock: the incident snapshot provider
+            // reads live stats through that same lock.
+            if let Some(sink) = log_sink {
+                sink.incident(
+                    "quarantine",
+                    "request quarantined after panicking solo on the isolation retry",
+                    request.trace.map(|t| t.trace),
+                );
+            }
+            let _ = request.reply.send(Err(quarantined_error()));
+        }
+    }
 }
 
 /// Runs the backend under `catch_unwind`, so one poison request cannot
@@ -904,6 +837,7 @@ fn quarantined_error() -> ConvertError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::GatedBackend;
     use crate::CsrEngine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -958,8 +892,9 @@ mod tests {
             let (logits, _) = engine.run_batch(&batched).unwrap();
             logits.as_slice().to_vec()
         };
+        let gate = GatedBackend::new(Arc::new(PoisonValueBackend { inner: engine }));
         let server = StreamingServer::new(
-            Arc::new(PoisonValueBackend { inner: engine }),
+            Arc::clone(&gate) as Arc<dyn InferenceBackend>,
             StreamingConfig {
                 threads: 1,
                 max_batch: 4,
@@ -967,10 +902,14 @@ mod tests {
                 ..StreamingConfig::default()
             },
         );
-        // Three innocents and one poison request share one count-flushed
-        // batch of four.
+        // Hold the only worker on a first request, so three innocents and
+        // one poison request queue up behind it and share one batch.
+        let blocker = server.submit(&innocent).unwrap();
+        gate.wait_entered(1);
         let innocents: Vec<Ticket> = (0..3).map(|_| server.submit(&innocent).unwrap()).collect();
         let poison_ticket = server.submit(&Tensor::full(&[1, 3, 4], POISON)).unwrap();
+        gate.open();
+        blocker.wait().unwrap();
         for ticket in innocents {
             let response = ticket
                 .wait()
@@ -983,13 +922,21 @@ mod tests {
             err.to_string().contains("quarantined"),
             "poison request gets the typed quarantine error, got: {err}"
         );
+        assert_eq!(
+            gate.batches()[1],
+            vec![0.5, 0.5, 0.5, POISON],
+            "the poison request was co-batched with the three innocents"
+        );
         // The server stays fully serviceable afterwards.
         let after = server.submit(&innocent).unwrap().wait().unwrap();
         assert_eq!(after.logits.as_slice(), &expected[..]);
         let metrics = server.shutdown();
         assert_eq!(metrics.batch_retries, 1, "one batch was re-run");
         assert_eq!(metrics.quarantined, 1, "exactly the poison request");
-        assert_eq!(metrics.requests, 4, "3 innocents + 1 clean follow-up");
+        assert_eq!(
+            metrics.requests, 5,
+            "blocker + 3 innocents + 1 clean follow-up"
+        );
     }
 
     /// Holds every batch long enough for submissions to pile up, so the
@@ -1095,13 +1042,16 @@ mod tests {
         );
         // Poison the recorder lock the way production would: a thread
         // panics while holding it.
-        let recorder = Arc::clone(&server.recorder);
+        let recorder = Arc::clone(&server.dispatch.recorder);
         let _ = std::thread::spawn(move || {
             let _guard = recorder.lock().unwrap();
             panic!("deliberately poisoning the recorder lock");
         })
         .join();
-        assert!(server.recorder.is_poisoned(), "lock must be poisoned");
+        assert!(
+            server.dispatch.recorder.is_poisoned(),
+            "lock must be poisoned"
+        );
         // Metrics, serving and shutdown all keep working.
         let before = server.metrics();
         let ticket = server.submit(&Tensor::full(&[1, 3, 4], 0.5)).unwrap();

@@ -1,11 +1,13 @@
 //! Concurrency battery for [`ModelRegistry`]: single-flight compilation
-//! under a thundering herd, LRU eviction that never unloads a model with
-//! in-flight work, and atomic hot swap under closed-loop load — every
-//! ticket completes with logits bit-matching exactly one of
-//! {old version, new version}, never a mix.
+//! under a thundering herd and atomic hot swap under closed-loop load —
+//! every ticket completes with logits bit-matching exactly one of
+//! {old version, new version}, never a mix. (LRU eviction that never
+//! unloads a model with in-flight work is a unit test in the registry
+//! module, where it can hold the entry's worker at a gate.)
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -124,92 +126,6 @@ fn thundering_herd_on_a_cold_model_compiles_exactly_once() {
 }
 
 #[test]
-fn lru_never_evicts_a_model_with_in_flight_work() {
-    let dir = TempDir::new("lru");
-    let a = dense_artifact("alpha", "1", 1);
-    let b = dense_artifact("beta", "1", 2);
-    let c = dense_artifact("gamma", "1", 3);
-    a.save(dir.path().join("alpha@1.snna")).unwrap();
-    b.save(dir.path().join("beta@1.snna")).unwrap();
-    c.save(dir.path().join("gamma@1.snna")).unwrap();
-    let fa = a.compile().unwrap().1.stored_bytes;
-    let fb = b.compile().unwrap().1.stored_bytes;
-
-    // Budget admits one model comfortably but not two: the second load
-    // must try to evict the first.
-    let registry = ModelRegistry::open(
-        dir.path(),
-        RegistryConfig {
-            byte_budget: fa.max(fb) + 1,
-            streaming: StreamingConfig {
-                threads: 1,
-                max_batch: 64,
-                // Long flush deadline: a lone submission parks in the
-                // batcher, keeping alpha's pending() > 0 for a while.
-                max_delay: Duration::from_millis(300),
-                max_pending: 0,
-                brownout: None,
-            },
-            ..RegistryConfig::default()
-        },
-    )
-    .unwrap();
-
-    let alpha = registry.get_or_load("alpha").unwrap();
-    let mut timings = vec![(alpha.load_ms(), alpha.compile_ms())];
-    let ticket = alpha.server().submit(&sample()).unwrap();
-    drop(alpha); // only the registry and the parked ticket's server remain
-
-    // Loading beta pushes the registry over budget, but alpha has an
-    // in-flight request: it must NOT be evicted mid-ticket.
-    let beta = registry.get_or_load("beta").unwrap();
-    timings.push((beta.load_ms(), beta.compile_ms()));
-    let states: Vec<_> = registry
-        .list()
-        .into_iter()
-        .map(|r| (r.name, r.state))
-        .collect();
-    assert!(
-        states.iter().any(|(n, s)| n == "alpha" && s == "resident"),
-        "alpha must stay resident while its ticket is in flight: {states:?}"
-    );
-    assert_eq!(registry.metrics().evictions, 0);
-
-    // The parked ticket completes normally — never dropped by eviction.
-    let response = ticket.wait().expect("in-flight ticket must complete");
-    assert_eq!(response.logits.dims(), &[3]);
-
-    // With alpha idle again, the next over-budget load may evict it.
-    let gamma = registry.get_or_load("gamma").unwrap();
-    timings.push((gamma.load_ms(), gamma.compile_ms()));
-    let metrics = registry.metrics();
-    assert!(
-        metrics.evictions >= 1,
-        "idle LRU entry is evictable once its work drains: {metrics:?}"
-    );
-    // The reported maxima are the exact slowest load and compile, not a
-    // histogram bin edge.
-    assert_eq!(metrics.cold_loads, 3);
-    let load_max = timings.iter().map(|t| t.0).fold(0.0, f64::max);
-    let compile_max = timings.iter().map(|t| t.1).fold(0.0, f64::max);
-    assert!(
-        (metrics.load_ms_max - load_max).abs() < 1e-6,
-        "load max {} vs {load_max}",
-        metrics.load_ms_max
-    );
-    assert!(
-        (metrics.compile_ms_max - compile_max).abs() < 1e-6,
-        "compile max {} vs {compile_max}",
-        metrics.compile_ms_max
-    );
-    assert!(!registry
-        .list()
-        .iter()
-        .any(|r| r.name == "alpha" && r.state == "resident"));
-    registry.shutdown();
-}
-
-#[test]
 fn swap_repoints_the_bare_name_and_survives_rescans() {
     let dir = TempDir::new("swap");
     dense_artifact("alpha", "1", 1)
@@ -271,16 +187,26 @@ fn hot_swap_under_closed_loop_load_never_mixes_versions() {
         )
         .unwrap(),
     );
-    // Start on v2 (the default), swap to v1 mid-run.
+    // Start on v2 (the default), swap to v1 mid-run: the swap fires once
+    // every client has completed PRE_SWAP requests, and each client keeps
+    // going until it has seen POST_SWAP answers from v1. Progress, not
+    // the wall clock, places the swap inside the load.
     const THREADS: usize = 4;
-    const PER_THREAD: usize = 150;
+    const PRE_SWAP: usize = 50;
+    const POST_SWAP: u64 = 50;
+    const MAX_PER_THREAD: usize = 1_000_000;
+    let completed = Arc::new(AtomicUsize::new(0));
     let workers: Vec<_> = (0..THREADS)
         .map(|_| {
             let registry = Arc::clone(&registry);
+            let completed = Arc::clone(&completed);
             let (e1, e2) = (expected_v1.clone(), expected_v2.clone());
             std::thread::spawn(move || {
                 let (mut saw_v1, mut saw_v2) = (0u64, 0u64);
-                for _ in 0..PER_THREAD {
+                for _ in 0..MAX_PER_THREAD {
+                    if saw_v1 >= POST_SWAP {
+                        return (saw_v1, saw_v2);
+                    }
                     // Resolve the bare name each iteration, like a
                     // gateway request would.
                     let handle = registry.get_or_load("alpha").unwrap();
@@ -303,14 +229,16 @@ fn hot_swap_under_closed_loop_load_never_mixes_versions() {
                     } else {
                         panic!("logits match neither version: torn swap");
                     }
+                    completed.fetch_add(1, Ordering::Relaxed);
                 }
-                (saw_v1, saw_v2)
+                panic!("the swap never reached this client");
             })
         })
         .collect();
 
-    // Let the workers run against v2, then swap to v1 under load.
-    std::thread::sleep(Duration::from_millis(50));
+    while completed.load(Ordering::Relaxed) < THREADS * PRE_SWAP {
+        std::thread::yield_now();
+    }
     let report = registry.swap("alpha", "1", None).unwrap();
     assert_eq!(report.to, "1");
 
@@ -321,11 +249,18 @@ fn hot_swap_under_closed_loop_load_never_mixes_versions() {
         total_v2 += saw_v2;
     }
     assert_eq!(
-        total_v1 + total_v2,
-        (THREADS * PER_THREAD) as u64,
+        (total_v1 + total_v2) as usize,
+        completed.load(Ordering::Relaxed),
         "every request completed and matched exactly one version"
     );
-    assert!(total_v2 > 0, "pre-swap traffic must have hit v2");
-    assert!(total_v1 > 0, "post-swap traffic must have hit v1");
+    assert!(
+        total_v2 >= (THREADS * PRE_SWAP) as u64,
+        "pre-swap traffic must have hit v2"
+    );
+    assert_eq!(
+        total_v1,
+        THREADS as u64 * POST_SWAP,
+        "post-swap traffic must have hit v1"
+    );
     registry.shutdown();
 }

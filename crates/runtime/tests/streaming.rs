@@ -1,6 +1,8 @@
-//! Edge-case coverage for the streaming front-end: deadline-only flushes,
-//! count flushes with no deadline slack, graceful shutdown with work still
-//! queued, submissions after shutdown, and ticket polling.
+//! Edge-case coverage for the streaming front-end: a lone request never
+//! waits for its deadline, backlogs drain in EDF-ordered `max_batch`
+//! batches, graceful shutdown with work still queued, submissions after
+//! shutdown, and ticket polling. Tests that need requests to queue hold
+//! the workers at a [`GatedBackend`] instead of sleeping.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,6 +17,10 @@ use snn_runtime::{
 use snn_sim::RunStats;
 use snn_tensor::Tensor;
 use ttfs_core::{convert, Base2Kernel, ConvertError, SnnModel};
+
+#[path = "support/gate.rs"]
+mod gate;
+use gate::GatedBackend;
 
 fn dense_model(seed: u64) -> SnnModel {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -34,6 +40,24 @@ fn engine(seed: u64) -> Arc<CsrEngine> {
 fn sample(value: f32) -> Tensor {
     Tensor::full(&[1, 3, 4], value)
 }
+
+/// A shut gate in front of a CSR engine for `dense_model(seed)`.
+fn gated(seed: u64) -> Arc<GatedBackend> {
+    GatedBackend::new(engine(seed))
+}
+
+/// A server over `gate`, with a worker already held at the gate by one
+/// blocker request (marker 0.99); returns the server and the blocker's
+/// ticket. Everything submitted next queues until the gate opens.
+fn held_server(gate: &Arc<GatedBackend>, config: StreamingConfig) -> (StreamingServer, Ticket) {
+    let server = StreamingServer::new(Arc::clone(gate) as Arc<dyn InferenceBackend>, config);
+    let blocker = server.submit(&sample(0.99)).unwrap();
+    gate.wait_entered(1);
+    (server, blocker)
+}
+
+/// A long default deadline that never passes during a test.
+const LONG: Duration = Duration::from_secs(30);
 
 /// A backend that sleeps before delegating, so shutdown reliably finds
 /// requests still queued behind a busy worker.
@@ -56,61 +80,238 @@ impl InferenceBackend for SlowBackend {
 }
 
 #[test]
-fn single_request_flushes_on_deadline_alone() {
-    // max_batch is far from reached: only the deadline can flush.
+fn single_request_runs_without_waiting_for_its_deadline() {
+    // One worker, a 30 s default deadline and an unreachable max_batch:
+    // an idle worker takes the lone request at once. Holding it for its
+    // deadline would blow the 5 s bound below.
     let server = StreamingServer::new(
         engine(1),
         StreamingConfig {
             threads: 1,
             max_batch: 64,
-            max_delay: Duration::from_millis(5),
+            max_delay: LONG,
             max_pending: 0,
             brownout: None,
         },
     );
-    let response = server.submit(&sample(0.5)).unwrap().wait().unwrap();
-    assert_eq!(response.batch_size, 1, "flushed alone, by deadline");
+    let response = server
+        .submit(&sample(0.5))
+        .unwrap()
+        .wait_timeout(Duration::from_secs(5))
+        .unwrap()
+        .expect("a lone request must not wait out the 30 s window");
+    assert_eq!(response.batch_size, 1, "taken alone");
     assert_eq!(response.logits.dims(), &[3]);
-    // The request waited out (at least) its deadline before executing.
-    assert!(response.queue_wait >= Duration::from_millis(5));
+    assert!(response.queue_wait < LONG);
     let metrics = server.shutdown();
     assert_eq!(metrics.requests, 1);
     assert_eq!(metrics.batches, 1);
     assert_eq!(metrics.max_batch_occupancy, 1);
+    assert_eq!(
+        metrics.flushes_idle, 1,
+        "a partial batch before its deadline"
+    );
+    assert_eq!(metrics.wait_timeouts, 0);
 }
 
 #[test]
 fn count_flush_fills_to_max_batch_before_deadline() {
-    // Deadline is far away: only the count flush can trigger, so every
-    // batch holds exactly max_batch requests.
+    // Both workers are held while 8 requests queue; once the gate opens,
+    // the backlog leaves in batches of exactly max_batch.
+    let gate = gated(2);
     let server = StreamingServer::new(
-        engine(2),
+        Arc::clone(&gate) as Arc<dyn InferenceBackend>,
         StreamingConfig {
             threads: 2,
             max_batch: 4,
-            max_delay: Duration::from_secs(30),
+            max_delay: LONG,
             max_pending: 0,
             brownout: None,
         },
     );
+    let blockers: Vec<Ticket> = (1..=2)
+        .map(|n| {
+            let ticket = server.submit(&sample(0.99)).unwrap();
+            gate.wait_entered(n);
+            ticket
+        })
+        .collect();
     let tickets: Vec<Ticket> = (0..8)
         .map(|i| server.submit(&sample(i as f32 / 8.0)).unwrap())
         .collect();
+    gate.open();
     for ticket in tickets {
         let response = ticket.wait().unwrap();
         assert_eq!(response.batch_size, 4, "count flush at max_batch");
     }
+    for blocker in blockers {
+        assert_eq!(blocker.wait().unwrap().batch_size, 1);
+    }
     let metrics = server.shutdown();
-    assert_eq!(metrics.requests, 8);
-    assert_eq!(metrics.batches, 2);
-    assert!((metrics.mean_batch_occupancy - 4.0).abs() < 1e-9);
+    assert_eq!(metrics.requests, 10);
+    assert_eq!(metrics.batches, 4);
+    assert_eq!(metrics.flushes_max_batch, 2);
+    assert_eq!(metrics.flushes_idle, 2, "the two blockers");
+}
+
+#[test]
+fn held_backlog_drains_in_edf_ordered_batches() {
+    // One held worker, ten queued requests with deadlines 10 s apart
+    // (far more than the submission spacing, so the EDF order is the
+    // order of the deadline offsets) and max_batch 3.
+    let gate = gated(17);
+    let (server, blocker) = held_server(
+        &gate,
+        StreamingConfig {
+            threads: 1,
+            max_batch: 3,
+            max_delay: LONG,
+            max_pending: 0,
+            brownout: None,
+        },
+    );
+    let offsets_s = [70u64, 20, 90, 10, 50, 100, 30, 80, 40, 60];
+    let mut tickets: Vec<(f32, Ticket)> = offsets_s
+        .iter()
+        .enumerate()
+        .map(|(i, &secs)| {
+            let marker = i as f32 / 16.0;
+            let options = SubmitOptions::with_deadline(Duration::from_secs(secs));
+            (
+                marker,
+                server.submit_with(&sample(marker), options).unwrap(),
+            )
+        })
+        .collect();
+    gate.open();
+    blocker.wait().unwrap();
+    let reference = engine(17);
+    for (marker, ticket) in tickets.iter_mut() {
+        let response = ticket
+            .wait_timeout(Duration::from_secs(10))
+            .unwrap()
+            .expect("every queued ticket resolves");
+        let (expected, _) = reference
+            .run_batch(&Tensor::full(&[1, 1, 3, 4], *marker))
+            .unwrap();
+        assert_eq!(response.logits.as_slice(), expected.as_slice(), "bit-exact");
+        // Exactly once: the reply channel is spent and closed.
+        assert!(ticket.try_wait().is_err(), "a second response arrived");
+    }
+    // The gate saw the blocker, then the backlog in EDF order, cut into
+    // batches of at most max_batch.
+    let mut by_deadline: Vec<(u64, f32)> = offsets_s
+        .iter()
+        .enumerate()
+        .map(|(i, &secs)| (secs, i as f32 / 16.0))
+        .collect();
+    by_deadline.sort_by_key(|&(secs, _)| secs);
+    let edf: Vec<f32> = by_deadline.iter().map(|&(_, m)| m).collect();
+    let batches = gate.batches();
+    assert_eq!(batches[0], vec![0.99]);
+    let expected: Vec<Vec<f32>> = edf.chunks(3).map(<[f32]>::to_vec).collect();
+    assert_eq!(&batches[1..], &expected[..]);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.requests, 11);
+    assert_eq!(metrics.batches, 5);
+    assert_eq!(metrics.flushes_max_batch, 3);
+    assert_eq!(
+        metrics.flushes_idle, 2,
+        "the blocker and the final partial batch"
+    );
+    assert_eq!(
+        metrics.flushes_max_batch
+            + metrics.flushes_edf_deadline
+            + metrics.flushes_drain
+            + metrics.flushes_idle,
+        metrics.batches,
+        "every batch is attributed to exactly one flush reason"
+    );
+}
+
+#[test]
+fn idle_worker_takes_new_work_while_another_is_busy() {
+    // Two workers; the first is held at the gate. A second request must
+    // reach the backend on the other worker without waiting for the
+    // first — requests wait only while EVERY worker is busy.
+    let gate = gated(18);
+    let (server, blocker) = held_server(
+        &gate,
+        StreamingConfig {
+            threads: 2,
+            max_batch: 8,
+            max_delay: LONG,
+            max_pending: 0,
+            brownout: None,
+        },
+    );
+    let second = server.submit(&sample(0.25)).unwrap();
+    gate.wait_entered(2);
+    assert_eq!(
+        gate.batches(),
+        vec![vec![0.99], vec![0.25]],
+        "two solo batches"
+    );
+    gate.open();
+    assert_eq!(second.wait().unwrap().batch_size, 1);
+    assert_eq!(blocker.wait().unwrap().batch_size, 1);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.flushes_idle, 2);
+}
+
+#[test]
+fn busy_workers_leave_a_backlog_the_next_free_worker_takes_whole() {
+    // Both workers held; two requests queue behind them. Releasing one
+    // batch frees one worker, which takes the whole backlog as one batch.
+    let gate = gated(19);
+    let server = StreamingServer::new(
+        Arc::clone(&gate) as Arc<dyn InferenceBackend>,
+        StreamingConfig {
+            threads: 2,
+            max_batch: 8,
+            max_delay: LONG,
+            max_pending: 0,
+            brownout: None,
+        },
+    );
+    let blockers: Vec<Ticket> = [0.9, 0.8]
+        .iter()
+        .enumerate()
+        .map(|(n, &marker)| {
+            let ticket = server.submit(&sample(marker)).unwrap();
+            gate.wait_entered(n + 1);
+            ticket
+        })
+        .collect();
+    let queued: Vec<Ticket> = [0.1, 0.2]
+        .iter()
+        .map(|&marker| server.submit(&sample(marker)).unwrap())
+        .collect();
+    assert_eq!(server.pending(), 4, "two executing, two queued");
+    gate.release(1);
+    gate.wait_entered(3);
+    assert_eq!(
+        gate.batches()[2],
+        vec![0.1, 0.2],
+        "the backlog left as one batch"
+    );
+    gate.open();
+    for ticket in queued {
+        assert_eq!(ticket.wait().unwrap().batch_size, 2);
+    }
+    for ticket in blockers {
+        assert_eq!(ticket.wait().unwrap().batch_size, 1);
+    }
+    let metrics = server.shutdown();
+    assert_eq!(metrics.requests, 4);
+    assert_eq!(metrics.batches, 3);
 }
 
 #[test]
 fn max_batch_flush_with_zero_remaining_deadline() {
-    // max_delay == 0: every pending window is already expired the moment
-    // it forms. Count and deadline flushes race; every request must still
-    // be answered exactly once and no batch may exceed max_batch.
+    // max_delay == 0: every queued request is already past its deadline.
+    // Full and partial takes race; every request must still be answered
+    // exactly once and no batch may exceed max_batch.
     let server = StreamingServer::new(
         engine(3),
         StreamingConfig {
@@ -316,15 +517,14 @@ fn shed_requests_metric_counts_queue_full_rejections() {
 
 #[test]
 fn submit_with_zero_deadline_flushes_a_long_window() {
-    // max_delay is 30 s and max_batch unreachable: only the per-request
-    // EDF deadline can flush. If submit_with dropped the deadline, this
-    // would hang until the test harness killed it.
+    // max_delay is 30 s and max_batch unreachable; a zero per-request
+    // deadline is already past when the worker takes it.
     let server = StreamingServer::new(
         engine(15),
         StreamingConfig {
             threads: 1,
             max_batch: 64,
-            max_delay: Duration::from_secs(30),
+            max_delay: LONG,
             max_pending: 0,
             brownout: None,
         },
@@ -335,21 +535,23 @@ fn submit_with_zero_deadline_flushes_a_long_window() {
     let response = ticket
         .wait_timeout(Duration::from_secs(10))
         .unwrap()
-        .expect("zero deadline flushes immediately");
+        .expect("zero deadline runs immediately");
     assert_eq!(response.batch_size, 1);
-    server.shutdown();
+    let metrics = server.shutdown();
+    assert_eq!(metrics.flushes_edf_deadline, 1, "taken past its deadline");
 }
 
 #[test]
-fn tight_deadline_flushes_requests_that_arrived_relaxed() {
-    // A relaxed request parks in the window; an urgent one arriving later
-    // pulls the earliest deadline forward and both ride one batch.
-    let server = StreamingServer::new(
-        engine(16),
+fn tight_deadline_overtakes_requests_that_arrived_relaxed() {
+    // A relaxed request queues behind the held worker; an urgent one
+    // arriving later sorts ahead of it, and both ride one batch.
+    let gate = gated(16);
+    let (server, blocker) = held_server(
+        &gate,
         StreamingConfig {
             threads: 1,
             max_batch: 64,
-            max_delay: Duration::from_secs(30),
+            max_delay: LONG,
             max_pending: 0,
             brownout: None,
         },
@@ -360,19 +562,21 @@ fn tight_deadline_flushes_requests_that_arrived_relaxed() {
             SubmitOptions::with_deadline(Duration::from_secs(20)),
         )
         .unwrap();
-    std::thread::sleep(Duration::from_millis(20));
     let urgent = server
         .submit_with(
             &sample(0.7),
             SubmitOptions::with_deadline(Duration::from_millis(1)).priority(5),
         )
         .unwrap();
+    gate.open();
+    blocker.wait().unwrap();
     let urgent_response = urgent.wait().unwrap();
     let relaxed_response = relaxed.wait().unwrap();
-    assert_eq!(urgent_response.batch_size, 2, "one EDF-flushed batch");
+    assert_eq!(urgent_response.batch_size, 2, "one batch");
     assert_eq!(relaxed_response.batch_size, 2);
+    assert_eq!(gate.batches()[1], vec![0.7, 0.3], "urgent first (EDF)");
     let metrics = server.shutdown();
-    assert_eq!(metrics.batches, 1);
+    assert_eq!(metrics.batches, 2);
     assert_eq!(metrics.shed_requests, 0);
 }
 
@@ -505,68 +709,78 @@ fn backend_panic_releases_backpressure_slots() {
 }
 
 #[test]
-fn flush_reason_counters_split_deadline_count_and_drain() {
-    // Count flushes: max_batch 4, deadline unreachable — 8 requests make
-    // exactly two max_batch flushes.
-    let server = StreamingServer::new(
-        engine(20),
-        StreamingConfig {
-            threads: 2,
-            max_batch: 4,
-            max_delay: Duration::from_secs(30),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
+fn flush_reason_counters_split_deadline_count_idle_and_drain() {
+    let config = StreamingConfig {
+        threads: 1,
+        max_batch: 4,
+        max_delay: LONG,
+        max_pending: 0,
+        brownout: None,
+    };
+    let sum = |m: &snn_runtime::StreamingMetrics| {
+        m.flushes_max_batch + m.flushes_edf_deadline + m.flushes_drain + m.flushes_idle
+    };
+
+    // Count: 8 requests queued behind the held worker leave as exactly
+    // two full batches; the blocker itself was an idle take.
+    let gate = gated(20);
+    let (server, blocker) = held_server(&gate, config.clone());
     let tickets: Vec<Ticket> = (0..8)
         .map(|i| server.submit(&sample(i as f32 / 8.0)).unwrap())
         .collect();
+    gate.open();
+    blocker.wait().unwrap();
     for ticket in tickets {
         ticket.wait().unwrap();
     }
     let metrics = server.shutdown();
     assert_eq!(metrics.flushes_max_batch, 2);
+    assert_eq!(metrics.flushes_idle, 1);
     assert_eq!(metrics.flushes_edf_deadline, 0);
     assert_eq!(metrics.flushes_drain, 0);
     assert_eq!(
-        metrics.flushes_max_batch + metrics.flushes_edf_deadline + metrics.flushes_drain,
+        sum(&metrics),
         metrics.batches,
         "every batch is attributed to exactly one flush reason"
     );
 
-    // Deadline flush: max_batch unreachable, only EDF expiry can fire.
-    let server = StreamingServer::new(
-        engine(21),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 64,
-            max_delay: Duration::from_millis(2),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
-    server.submit(&sample(0.5)).unwrap().wait().unwrap();
+    // EDF deadline: a zero-deadline request waits behind the held worker,
+    // so the partial batch it rides is taken after its deadline passed.
+    let gate = gated(21);
+    let (server, blocker) = held_server(&gate, config.clone());
+    let late = server
+        .submit_with(&sample(0.5), SubmitOptions::with_deadline(Duration::ZERO))
+        .unwrap();
+    gate.open();
+    blocker.wait().unwrap();
+    late.wait().unwrap();
     let metrics = server.shutdown();
     assert_eq!(metrics.flushes_edf_deadline, 1);
+    assert_eq!(metrics.flushes_idle, 1);
     assert_eq!(metrics.flushes_max_batch, 0);
+    assert_eq!(sum(&metrics), metrics.batches);
 
-    // Drain flush: requests still parked in the window when shutdown runs.
-    let server = StreamingServer::new(
-        engine(22),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 64,
-            max_delay: Duration::from_secs(30),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
+    // Drain: requests still queued when shutdown begins.
+    let gate = gated(22);
+    let (server, blocker) = held_server(&gate, config);
+    let server = Arc::new(server);
     let tickets: Vec<Ticket> = (0..3)
         .map(|i| server.submit(&sample(i as f32 / 3.0)).unwrap())
         .collect();
-    let metrics = server.shutdown();
-    assert_eq!(metrics.flushes_drain, 1, "shutdown drained the open window");
-    assert_eq!(metrics.requests, 3);
+    let closer = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.shutdown())
+    };
+    while !server.is_shut_down() {
+        std::thread::yield_now();
+    }
+    gate.open();
+    let metrics = closer.join().unwrap();
+    assert_eq!(metrics.flushes_drain, 1, "shutdown drained the queue");
+    assert_eq!(metrics.flushes_idle, 1);
+    assert_eq!(metrics.requests, 4);
+    assert_eq!(sum(&metrics), metrics.batches);
+    blocker.wait().unwrap();
     for ticket in tickets {
         ticket.wait().unwrap();
     }
